@@ -82,8 +82,8 @@ def scaled_activity_probability(
     """Per-subscriber activity probability for a known weekday factor.
 
     Split out of :func:`activity_probability` so callers that resolve
-    the factor once per day (the batched policy kernels) share the
-    exact clip/multiply with the scalar path.  ``minimum(maximum(x))``
+    the factor once per day (the policies' day bodies) share the
+    exact clip/multiply with :func:`activity_probability`.  ``minimum(maximum(x))``
     is the element-wise operation ``np.clip`` performs, without the
     dispatch overhead — bit-identical values.
     """
@@ -125,8 +125,8 @@ def hits_from_medians(
 ) -> np.ndarray:
     """Turn standard-normal draws into daily hit counts (element-wise).
 
-    The deterministic half of :func:`daily_hits`, split out so the
-    batched ``days_activity`` path can draw the normals day by day (the
+    The deterministic half of :func:`daily_hits`, split out so
+    ``days_activity`` can draw the normals day by day (the
     RNG-consumption-order contract) yet evaluate the log-normal math
     once over a whole horizon's concatenated rows.  Element-wise, so
     any grouping of rows yields bit-identical values.
@@ -175,8 +175,8 @@ def daily_hits(
     more requests (Fig. 9a).  Returns integers >= 1.
 
     The log-normal is drawn as ``exp(sigma * standard_normal())`` —
-    the same bitstream consumption as ``rng.lognormal`` — so the
-    scalar and batched kernels share :func:`hits_from_normals` exactly.
+    the same bitstream consumption as ``rng.lognormal`` — so it equals
+    the policies' per-day normals fed through :func:`hits_from_medians`.
     """
     engagement = np.asarray(engagement)
     normals = rng.standard_normal(size=engagement.shape)

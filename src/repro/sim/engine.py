@@ -51,6 +51,7 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -398,11 +399,11 @@ def _merge_results_to_store(
 
 
 def simulate_shard(task: ShardTask) -> ShardResult:
-    """Run one shard's blocks day by day (the worker entry point).
+    """Run one shard's blocks over the whole horizon (the worker entry point).
 
-    Mirrors the serial per-day loop exactly; every stream consumed here
-    is keyed per block, so the result is independent of how blocks were
-    grouped into shards.
+    One call of the shard kernel over ``[0, num_days)``; every stream
+    consumed there is keyed per block, so the result is independent of
+    how blocks were grouped into shards.
 
     With ``task.observe`` set, the shard additionally records a
     ``collect/shard/simulate`` span and its layout-invariant counters
@@ -416,14 +417,15 @@ def simulate_shard(task: ShardTask) -> ShardResult:
         raise InjectedWorkerFault(
             f"injected fault: shard {task.shard_index} attempt {task.attempt}"
         )
-    if not task.observe:
-        return _simulate_shard_blocks(task)
-    ctx = ObsContext()
-    with ctx.spans.span("collect/shard/simulate"):
-        result = _simulate_shard_blocks(task)
-    ctx.add("shard_addr_days", result.addr_days)
-    ctx.add("shard_blocks", len(task.blocks))
-    result.obs = ctx.to_payload()
+    ctx = ObsContext() if task.observe else None
+    with ctx.spans.span("collect/shard/simulate") if ctx is not None else nullcontext():
+        state = _ShardState(task)
+        _simulate_shard_blocks(state, 0, task.num_days)
+        result = state.result()
+    if ctx is not None:
+        ctx.add("shard_addr_days", result.addr_days)
+        ctx.add("shard_blocks", len(task.blocks))
+        result.obs = ctx.to_payload()
     return result
 
 
@@ -465,19 +467,111 @@ def _day_tables(config: SimulationConfig, num_days: int) -> tuple[list[int], lis
     return day_of_weeks, traffic_scales
 
 
-def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
-    """The vectorized block-major kernel shared by both observe modes.
+class _ShardState:
+    """Everything the shard kernel carries from one day range to the next.
 
-    Every random stream is private to one block (policy streams from
-    ``Block.seed``, UA streams from :func:`block_ua_rng`), so the
-    historical day-major loop can be transposed into a block-major one
-    without touching any stream: each block's horizon is split into
-    segments at its policy-change directives, each segment runs through
-    the policy's batched :meth:`~repro.sim.policies.AddressPolicy.
-    days_activity` (which draws day by day in the scalar call order but
-    defers all deterministic math to columnar array ops), and the
-    engine reduces the returned subscriber rows with ``bincount``
-    scatter-adds instead of per-day python branches:
+    Built once per shard from its :class:`ShardTask`: the horizon's day
+    tables, directives and scenario factor tables; per block its
+    current kind, its policy and its User-Agent stream; the
+    accumulators of every artifact (window columns, UA samples, login
+    rows, scan snapshots, ``addr_days``); and the day cursor
+    :attr:`day` up to which all of them are complete.
+    :func:`_simulate_shard_blocks` advances it, :meth:`take_window`
+    hands out one finished window column, :meth:`result` the shard's
+    :class:`ShardResult`.
+    """
+
+    def __init__(self, task: ShardTask) -> None:
+        num_days = task.num_days
+        _validate_windowing(num_days, task.window_days)
+        self.task = task
+        self.day = 0
+        self.day_of_weeks, self.traffic_scales = _day_tables(task.config, num_days)
+        # Last directive per (block, day) wins, as same-day directives
+        # applied in order would.
+        self.changes: dict[int, dict[int, tuple[str, int]]] = {}
+        for day, block_index, kind_value, salt in task.directives:
+            if 0 <= day < num_days:
+                self.changes.setdefault(block_index, {})[day] = (kind_value, salt)
+        # Scenario hit-volume windows, precompiled to per-block day-factor
+        # tables.  Blocks without a table take the unperturbed path,
+        # so the empty timeline cannot perturb a single bit.
+        self.factor_tables = build_day_factor_tables(task.perturbations, num_days)
+        self.scan_days = sorted({day for day in task.scan_days if 0 <= day < num_days})
+        self.kinds: dict[int, PolicyKind] = {block.index: block.kind for block in task.blocks}
+        # Built at a block's first simulated day.  A policy a day-0
+        # directive replaces is never constructed: construction only
+        # draws from the policy's private stream, so skipping it is
+        # invisible to every other stream.
+        self.policies: dict[int, AddressPolicy] = {}
+        self.ua_rngs: dict[int, np.random.Generator] = {}
+        self.ua_samples: dict[int, Counter] = {}
+        self.login_parts: list[list[tuple[np.ndarray, np.ndarray]]] | None = (
+            [[] for _ in range(num_days)] if task.login_panel_rate > 0 else None
+        )
+        self.scan_by_day: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
+        num_windows = num_days // task.window_days
+        self.window_ips_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
+        self.window_hits_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
+        self.addr_days = 0
+
+    def take_window(self, window: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted column of a finished window; releases its parts."""
+        column = _partial_column(
+            self.window_ips_parts[window], self.window_hits_parts[window]
+        )
+        self.window_ips_parts[window] = []
+        self.window_hits_parts[window] = []
+        return column
+
+    def result(self) -> ShardResult:
+        """The shard's artifacts once the cursor reached the horizon."""
+        num_windows = len(self.window_ips_parts)
+        columns = [self.take_window(window) for window in range(num_windows)]
+        login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
+        if self.login_parts is not None:
+            login_trace = []
+            for parts in self.login_parts:
+                if parts:
+                    login_trace.append(
+                        (
+                            np.concatenate([ips for ips, _ in parts]),
+                            np.concatenate([users for _, users in parts]),
+                        )
+                    )
+                else:
+                    login_trace.append(
+                        (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
+                    )
+        return ShardResult(
+            shard_index=self.task.shard_index,
+            window_ips=[ips for ips, _ in columns],
+            window_hits=[hits for _, hits in columns],
+            ua_samples=self.ua_samples,
+            login_trace=login_trace,
+            # Chronological day order, blocks in block order within a day.
+            scan_states={day: self.scan_by_day[day] for day in sorted(self.scan_by_day)},
+            final_kinds=self.kinds,
+            addr_days=self.addr_days,
+        )
+
+
+def _simulate_shard_blocks(state: _ShardState, lo: int, hi: int) -> None:
+    """The shard kernel: advance *state* over the days ``[lo, hi)``.
+
+    The range continues at the state's day cursor and ends on a window
+    boundary, so every window it touches is complete when it returns.
+    Simulating ``[0, n)`` in one call or as ``[0, k)`` then ``[k, n)``
+    yields the same artifacts: every random stream is private to one
+    block (policy streams from ``Block.seed``, UA streams from
+    :func:`block_ua_rng`) and the per-block state carries over.
+
+    Within the range the loop runs block-major: each block's days are
+    split into segments at its policy-change directives, each segment
+    runs through the policy's
+    :meth:`~repro.sim.policies.AddressPolicy.days_activity` (draws day
+    by day, all deterministic math once over the segment's rows), and
+    the subscriber rows are reduced with ``bincount`` scatter-adds:
 
     - window columns: one ``(day, offset)`` keyed bincount per block
       segment, summed per window — hit counts are integers far below
@@ -486,87 +580,58 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
     - ``addr_days``: nonzero cells of the same bincount;
     - login-panel rows: one batched :func:`hash_coin` over all rows
       (the coin is stateless), sliced back per day;
-    - UA sampling: untouched per-day calls into :func:`sample_uas`
-      with the day's row slice, preserving that stream's draw order.
-
-    :func:`_simulate_shard_blocks_reference` keeps the historical
-    day-major loop as the executable specification; the equivalence
-    tests hold the two paths bit-identical.
+    - UA sampling: per-day calls into :func:`sample_uas` with the
+      day's row slice, preserving that stream's draw order.
     """
+    task = state.task
+    window_days = task.window_days
+    if lo != state.day or not lo < hi <= task.num_days or hi % window_days:
+        raise CollectionError(
+            f"day range [{lo}, {hi}) does not continue the shard at day "
+            f"{state.day} up to a window boundary of its {task.num_days}-day "
+            "horizon"
+        )
     config = task.config
-    num_days = task.num_days
-    _validate_windowing(num_days, task.window_days)
-    blocks = task.blocks
-    num_windows = num_days // task.window_days
-    day_of_weeks, traffic_scales = _day_tables(config, num_days)
-
-    # Last directive per (block, day) wins, exactly as the scalar loop
-    # applied same-day directives in order.  Intermediate and initial
-    # policies a directive immediately replaces are never constructed:
-    # construction only draws from the policy's private stream, so
-    # skipping it is invisible to every other stream.
-    directives_by_block: dict[int, dict[int, tuple[str, int]]] = {}
-    for day, block_index, kind_value, salt in task.directives:
-        if 0 <= day < num_days:
-            directives_by_block.setdefault(block_index, {})[day] = (kind_value, salt)
-
-    # Scenario hit-volume windows, precompiled to per-block day-factor
-    # tables.  Blocks without a table take the exact historical path,
-    # so the empty timeline cannot perturb a single bit.
-    factor_tables = build_day_factor_tables(task.perturbations, num_days)
-
-    scan_days = sorted({day for day in task.scan_days if 0 <= day < num_days})
     ua_window = task.ua_window
-
-    ua_rngs: dict[int, np.random.Generator] = {}
-    ua_samples: dict[int, Counter] = {}
-    login_parts: list[list[tuple[np.ndarray, np.ndarray]]] | None = (
-        [[] for _ in range(num_days)] if task.login_panel_rate > 0 else None
-    )
-    scan_by_day: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
-    window_ips_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
-    window_hits_parts: list[list[np.ndarray]] = [[] for _ in range(num_windows)]
-    final_kinds: dict[int, PolicyKind] = {}
-    addr_days = 0
-
-    for block in blocks:
-        changes = directives_by_block.get(block.index, {})
-        day_factors = factor_tables.get(block.index)
-        cuts = [0] + [day for day in sorted(changes) if day > 0] + [num_days]
-        policy: AddressPolicy | None = None
-        kind = block.kind
+    login_parts = state.login_parts
+    for block in task.blocks:
+        changes = state.changes.get(block.index, {})
+        day_factors = state.factor_tables.get(block.index)
+        cuts = [lo] + [day for day in sorted(changes) if lo < day < hi] + [hi]
         for seg_start, seg_end in zip(cuts, cuts[1:]):
             if seg_start in changes:
                 kind_value, salt = changes[seg_start]
-                kind = PolicyKind(kind_value)
-                policy = block.make_policy(config, kind=kind, salt=salt)
-            elif policy is None:
-                policy = block.make_policy(config)
+                state.kinds[block.index] = PolicyKind(kind_value)
+                state.policies[block.index] = block.make_policy(
+                    config, kind=state.kinds[block.index], salt=salt
+                )
+            elif block.index not in state.policies:
+                state.policies[block.index] = block.make_policy(config)
+            kind = state.kinds[block.index]
             rel_scans = [
-                day - seg_start for day in scan_days if seg_start <= day < seg_end
+                day - seg_start for day in state.scan_days if seg_start <= day < seg_end
             ]
-            activity = policy.days_activity(
-                day_of_weeks[seg_start:seg_end],
-                traffic_scales[seg_start:seg_end],
+            activity = state.policies[block.index].days_activity(
+                state.day_of_weeks[seg_start:seg_end],
+                state.traffic_scales[seg_start:seg_end],
                 snapshot_days=rel_scans,
             )
             for rel in rel_scans:
-                scan_by_day.setdefault(seg_start + rel, {})[block.index] = (
+                state.scan_by_day.setdefault(seg_start + rel, {})[block.index] = (
                     kind,
                     activity.snapshots[rel].copy(),
                 )
             rows = int(activity.sub_ids.size)
             if rows:
                 num_seg_days = seg_end - seg_start
+                day_starts = activity.day_starts
                 day_rel = np.repeat(
-                    np.arange(num_seg_days), np.diff(activity.day_starts)
+                    np.arange(num_seg_days), day_starts[1:] - day_starts[:-1]
                 )
                 weights = activity.sub_hits
                 if day_factors is not None:
-                    # Row-wise identical to the reference kernel's
-                    # per-day scalar factor: each row sees its own
-                    # day's factor, and the (day, offset) bincount
-                    # groups sum the same values in the same order.
+                    # Each row sees its own day's factor; UA sampling and
+                    # the login panel below observe the unperturbed rows.
                     weights = perturb_hits(
                         weights, day_factors[seg_start + day_rel]
                     )
@@ -575,10 +640,10 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
                     weights=weights,
                     minlength=num_seg_days * BLOCK_SIZE,
                 ).reshape(num_seg_days, BLOCK_SIZE)
-                addr_days += int(np.count_nonzero(cells))
-                first_window = seg_start // task.window_days
-                last_window = (seg_end - 1) // task.window_days
-                if task.window_days == 1:
+                state.addr_days += int(np.count_nonzero(cells))
+                first_window = seg_start // window_days
+                last_window = (seg_end - 1) // window_days
+                if window_days == 1:
                     window_cells = cells
                 else:
                     # Window boundaries clipped to the segment.  The
@@ -587,7 +652,7 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
                     # bit for bit.
                     bounds = np.array(
                         [
-                            max(window * task.window_days, seg_start) - seg_start
+                            max(window * window_days, seg_start) - seg_start
                             for window in range(first_window, last_window + 1)
                         ]
                     )
@@ -602,10 +667,10 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
                     for rel_win in range(window_cells.shape[0]):
                         lo_r, hi_r = int(starts[rel_win]), int(starts[rel_win + 1])
                         if lo_r < hi_r:
-                            window_ips_parts[first_window + rel_win].append(
+                            state.window_ips_parts[first_window + rel_win].append(
                                 ips_rows[lo_r:hi_r]
                             )
-                            window_hits_parts[first_window + rel_win].append(
+                            state.window_hits_parts[first_window + rel_win].append(
                                 hits_rows[lo_r:hi_r]
                             )
             if ua_window is not None:
@@ -615,9 +680,9 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
                     day_rows = activity.day_slice(day - seg_start)
                     if day_rows.start == day_rows.stop:
                         continue
-                    rng = ua_rngs.get(block.index)
+                    rng = state.ua_rngs.get(block.index)
                     if rng is None:
-                        rng = ua_rngs[block.index] = block_ua_rng(
+                        rng = state.ua_rngs[block.index] = block_ua_rng(
                             config.seed, block.index
                         )
                     ua_ids = sample_uas(
@@ -628,7 +693,7 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
                         bot_profile=(kind is PolicyKind.CRAWLER),
                     )
                     if ua_ids.size:
-                        ua_samples.setdefault(block.base, Counter()).update(
+                        state.ua_samples.setdefault(block.base, Counter()).update(
                             ua_ids.tolist()
                         )
             if login_parts is not None and rows:
@@ -651,198 +716,24 @@ def _simulate_shard_blocks(task: ShardTask) -> ShardResult:
                                     activity.sub_ids[day_rows][mask],
                                 )
                             )
-        final_kinds[block.index] = kind
-
-    window_ips: list[np.ndarray] = []
-    window_hits: list[np.ndarray] = []
-    for window in range(num_windows):
-        ips, hits = _partial_column(
-            window_ips_parts[window], window_hits_parts[window]
-        )
-        window_ips.append(ips)
-        window_hits.append(hits)
-
-    login_trace: list[tuple[np.ndarray, np.ndarray]] | None = None
-    if login_parts is not None:
-        login_trace = []
-        for day in range(num_days):
-            parts = login_parts[day]
-            if parts:
-                login_trace.append(
-                    (
-                        np.concatenate([ips for ips, _ in parts]),
-                        np.concatenate([users for _, users in parts]),
-                    )
-                )
-            else:
-                login_trace.append(
-                    (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
-                )
-
-    # Chronological day order, blocks in block order within a day —
-    # the insertion order the day-major loop produced.
-    scan_states = {day: scan_by_day[day] for day in sorted(scan_by_day)}
-
-    return ShardResult(
-        shard_index=task.shard_index,
-        window_ips=window_ips,
-        window_hits=window_hits,
-        ua_samples=ua_samples,
-        login_trace=login_trace,
-        scan_states=scan_states,
-        final_kinds=final_kinds,
-        addr_days=addr_days,
-    )
-
-
-def _simulate_shard_blocks_reference(task: ShardTask) -> ShardResult:
-    """The historical day-major scalar loop, kept as executable spec.
-
-    The vectorized kernel (:func:`_simulate_shard_blocks`) must produce
-    bit-identical :class:`ShardResult` payloads to this loop for every
-    configuration — the property tests drive both and compare.  Slow;
-    never called in production paths.
-    """
-    config = task.config
-    _validate_windowing(task.num_days, task.window_days)
-    blocks = task.blocks
-    block_by_index = {block.index: block for block in blocks}
-    policies: dict[int, AddressPolicy] = {
-        block.index: block.make_policy(config) for block in blocks
-    }
-    current_kinds: dict[int, PolicyKind] = {block.index: block.kind for block in blocks}
-    directives_by_day: dict[int, list[tuple[int, str, int]]] = {}
-    for day, block_index, kind_value, salt in task.directives:
-        directives_by_day.setdefault(day, []).append((block_index, kind_value, salt))
-    factor_tables = build_day_factor_tables(task.perturbations, task.num_days)
-
-    ua_rngs: dict[int, np.random.Generator] = {}
-    ua_samples: dict[int, Counter] = {}
-    login_trace: list[tuple[np.ndarray, np.ndarray]] | None = (
-        [] if task.login_panel_rate > 0 else None
-    )
-    scan_day_set = set(task.scan_days)
-    scan_states: dict[int, dict[int, tuple[PolicyKind, np.ndarray]]] = {}
-
-    window_ips: list[np.ndarray] = []
-    window_hits: list[np.ndarray] = []
-    pending_ips: list[np.ndarray] = []
-    pending_hits: list[np.ndarray] = []
-    addr_days = 0
-
-    for day in range(task.num_days):
-        date = config.start_date + datetime.timedelta(days=day)
-        day_of_week = date.weekday()
-        traffic_scale = config.traffic_weekly_growth ** (day / 7.0)
-        for block_index, kind_value, salt in directives_by_day.get(day, ()):
-            block = block_by_index[block_index]
-            kind = PolicyKind(kind_value)
-            policies[block_index] = block.make_policy(config, kind=kind, salt=salt)
-            current_kinds[block_index] = kind
-
-        in_ua_window = (
-            task.ua_window is not None
-            and task.ua_window[0] <= day <= task.ua_window[1]
-        )
-        trace_ips: list[np.ndarray] = []
-        trace_users: list[np.ndarray] = []
-        for block in blocks:
-            activity = policies[block.index].day_activity(day_of_week, traffic_scale)
-            if not activity.offsets.size:
-                continue
-            day_factors = factor_tables.get(block.index)
-            if day_factors is None:
-                pending_ips.append(block.base + activity.offsets.astype(np.uint32))
-                pending_hits.append(activity.hits)
-                addr_days += int(activity.offsets.size)
-            else:
-                # Perturbed window column only: UA sampling and the
-                # login panel below observe the unperturbed rows, so
-                # every RNG stream keeps the scenario-free call order.
-                per_offset = np.bincount(
-                    activity.sub_offsets,
-                    weights=perturb_hits(activity.sub_hits, day_factors[day]),
-                    minlength=BLOCK_SIZE,
-                )
-                offsets = np.flatnonzero(per_offset)
-                if offsets.size:
-                    pending_ips.append(block.base + offsets.astype(np.uint32))
-                    pending_hits.append(per_offset[offsets])
-                    addr_days += int(offsets.size)
-            if in_ua_window and activity.sub_ids.size:
-                rng = ua_rngs.get(block.index)
-                if rng is None:
-                    rng = ua_rngs[block.index] = block_ua_rng(config.seed, block.index)
-                ua_ids = sample_uas(
-                    rng,
-                    activity.sub_ids,
-                    activity.sub_hits,
-                    config.ua_sample_rate,
-                    bot_profile=(current_kinds[block.index] is PolicyKind.CRAWLER),
-                )
-                if ua_ids.size:
-                    ua_samples.setdefault(block.base, Counter()).update(ua_ids.tolist())
-            if login_trace is not None and activity.sub_ids.size:
-                panel = hash_coin(activity.sub_ids, LOGIN_PANEL_SALT, task.login_panel_rate)
-                if panel.any():
-                    trace_ips.append(
-                        (block.base + activity.sub_offsets[panel]).astype(np.uint32)
-                    )
-                    trace_users.append(activity.sub_ids[panel])
-        if login_trace is not None:
-            if trace_ips:
-                login_trace.append(
-                    (np.concatenate(trace_ips), np.concatenate(trace_users))
-                )
-            else:
-                login_trace.append(
-                    (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
-                )
-        if day in scan_day_set:
-            scan_states[day] = {
-                block.index: (
-                    current_kinds[block.index],
-                    policies[block.index].assigned_offsets().copy(),
-                )
-                for block in blocks
-            }
-        if (day + 1) % task.window_days == 0:
-            ips, hits = _partial_column(pending_ips, pending_hits)
-            window_ips.append(ips)
-            window_hits.append(hits)
-            pending_ips, pending_hits = [], []
-
-    return ShardResult(
-        shard_index=task.shard_index,
-        window_ips=window_ips,
-        window_hits=window_hits,
-        ua_samples=ua_samples,
-        login_trace=login_trace,
-        scan_states=scan_states,
-        final_kinds=current_kinds,
-        addr_days=addr_days,
-    )
+        if hi == task.num_days:
+            # Nothing draws from a finished block's policy again; a
+            # batch shard holds one policy at a time, not all of them.
+            del state.policies[block.index]
+    state.day = hi
 
 
 class LiveShardSimulator:
-    """Day-major stepper yielding one window column per call.
+    """Window-at-a-time driver of the shard kernel.
 
     The live-observatory service (``repro serve``) collects the horizon
-    one interval at a time instead of all at once; this class is the
-    single-interval entry point into the engine.  It runs the exact
-    day-major loop of :func:`_simulate_shard_blocks_reference` — the
-    executable spec the vectorized kernel is pinned against — restricted
-    to the window-column artifact, so interval ``w`` of a live run is
-    bit-identical to window ``w`` of a batch
-    :func:`run_sharded_collection` over the same blocks:
-
-    - all policies are constructed up front (same private-stream draws
-      as both batch loops);
-    - directives are applied at the start of their day, last one wins;
-    - each block's policy advances exactly once per day via
-      ``day_activity``, and every stream is private to its block, so
-      stepping order across calls cannot perturb any other stream;
-    - the window flush is the same :func:`_partial_column` reduction.
+    one interval at a time instead of all at once; this class is its
+    entry point into the engine.  It keeps one :class:`_ShardState`
+    over its blocks and advances it by one
+    :func:`_simulate_shard_blocks` call per window.  The kernel yields
+    the same columns however the horizon is split into day ranges, so
+    interval ``w`` of a live run is bit-identical to window ``w`` of a
+    batch :func:`run_sharded_collection` over the same blocks.
 
     Catch-up after a crash is a replay from day zero: every stream is
     keyed by block seed, so re-stepping a fresh simulator through the
@@ -862,42 +753,37 @@ class LiveShardSimulator:
         directives: tuple[Directive, ...],
         perturbations: tuple[Perturbation, ...] = (),
     ) -> None:
-        _validate_windowing(num_days, window_days)
-        self._config = config
-        self._blocks = tuple(blocks)
-        self._num_days = num_days
-        self._window_days = window_days
-        self._factor_tables = build_day_factor_tables(perturbations, num_days)
-        block_by_index = {block.index: block for block in self._blocks}
-        self._block_by_index = block_by_index
-        self._policies: dict[int, AddressPolicy] = {
-            block.index: block.make_policy(config) for block in self._blocks
-        }
-        self._directives_by_day: dict[int, list[tuple[int, str, int]]] = {}
-        for day, block_index, kind_value, salt in directives:
-            if block_index in block_by_index:
-                self._directives_by_day.setdefault(day, []).append(
-                    (block_index, kind_value, salt)
-                )
-        self._day = 0
-        self._addr_days = 0
+        self._state = _ShardState(
+            ShardTask(
+                shard_index=0,
+                config=config,
+                blocks=tuple(blocks),
+                num_days=num_days,
+                window_days=window_days,
+                ua_window=None,
+                scan_days=(),
+                login_panel_rate=0.0,
+                directives=tuple(directives),
+                perturbations=tuple(perturbations),
+            )
+        )
 
     @property
     def num_windows(self) -> int:
-        return self._num_days // self._window_days
+        return len(self._state.window_ips_parts)
 
     @property
     def windows_done(self) -> int:
-        return self._day // self._window_days
+        return self._state.day // self._state.task.window_days
 
     @property
     def exhausted(self) -> bool:
-        return self._day >= self._num_days
+        return self._state.day >= self._state.task.num_days
 
     @property
     def addr_days(self) -> int:
         """Active address-days observed so far (the perf counter)."""
-        return self._addr_days
+        return self._state.addr_days
 
     def advance_window(self) -> tuple[np.ndarray, np.ndarray]:
         """Simulate the next ``window_days`` days; return their column.
@@ -909,55 +795,12 @@ class LiveShardSimulator:
         """
         if self.exhausted:
             raise CollectionError(
-                f"collection horizon exhausted: all {self._num_days} days "
-                "have been simulated"
+                f"collection horizon exhausted: all {self._state.task.num_days} "
+                "days have been simulated"
             )
-        pending_ips: list[np.ndarray] = []
-        pending_hits: list[np.ndarray] = []
-        for _ in range(self._window_days):
-            day = self._day
-            date = self._config.start_date + datetime.timedelta(days=day)
-            day_of_week = date.weekday()
-            traffic_scale = self._config.traffic_weekly_growth ** (day / 7.0)
-            for block_index, kind_value, salt in self._directives_by_day.get(
-                day, ()
-            ):
-                block = self._block_by_index[block_index]
-                self._policies[block_index] = block.make_policy(
-                    self._config, kind=PolicyKind(kind_value), salt=salt
-                )
-            for block in self._blocks:
-                activity = self._policies[block.index].day_activity(
-                    day_of_week, traffic_scale
-                )
-                if not activity.offsets.size:
-                    continue
-                day_factors = self._factor_tables.get(block.index)
-                if day_factors is None:
-                    pending_ips.append(
-                        block.base + activity.offsets.astype(np.uint32)
-                    )
-                    pending_hits.append(activity.hits)
-                    self._addr_days += int(activity.offsets.size)
-                else:
-                    # Same perturbed reduction as the reference kernel:
-                    # scenario factors shape the column, never a stream.
-                    per_offset = np.bincount(
-                        activity.sub_offsets,
-                        weights=perturb_hits(
-                            activity.sub_hits, day_factors[day]
-                        ),
-                        minlength=BLOCK_SIZE,
-                    )
-                    offsets = np.flatnonzero(per_offset)
-                    if offsets.size:
-                        pending_ips.append(
-                            block.base + offsets.astype(np.uint32)
-                        )
-                        pending_hits.append(per_offset[offsets])
-                        self._addr_days += int(offsets.size)
-            self._day += 1
-        return _partial_column(pending_ips, pending_hits)
+        lo = self._state.day
+        _simulate_shard_blocks(self._state, lo, lo + self._state.task.window_days)
+        return self._state.take_window(self.windows_done - 1)
 
 
 @dataclass(frozen=True)

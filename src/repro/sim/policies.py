@@ -22,9 +22,10 @@ of one observed pattern:
 - :class:`UnusedPolicy` — routed but idle space.
 
 A policy is a stateful day-by-day generator: calling
-:meth:`AddressPolicy.day_activity` for consecutive days yields the
-block's active offsets, per-address hit counts, and the subscriber
-attribution needed for User-Agent sampling.
+:meth:`AddressPolicy.days_activity` for consecutive day ranges yields
+the block's per-subscriber rows — active offsets, hit counts, and the
+attribution needed for User-Agent sampling — day by day.  Each kind
+writes one day of draws; the base class drives it over a horizon.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.sim.behavior import (
-    daily_hits,
     draw_engagement,
     hit_medians,
     hits_from_medians,
@@ -143,15 +144,15 @@ class DaysActivity:
     The batched counterpart of a sequence of :class:`DayActivity`
     values: day ``d``'s subscriber rows live at
     ``[day_starts[d], day_starts[d + 1])`` of the three row arrays, in
-    exactly the order the scalar :meth:`AddressPolicy.day_activity`
-    would have produced them — that row-order contract is what lets
-    downstream per-day consumers (User-Agent sampling) draw identical
-    streams from either path.
+    the order the policy drew them that day.  The rows of a day do not
+    depend on how the horizon was split into
+    :meth:`AddressPolicy.days_activity` calls — that row-order contract
+    is what lets downstream per-day consumers (User-Agent sampling)
+    draw identical streams whatever the engine's day ranges.
 
     ``snapshots`` maps a relative day index to a private copy of
     :meth:`AddressPolicy.assigned_offsets` as of the *end* of that day
-    (after any lease churn), matching a scalar caller that snapshots
-    between two ``day_activity`` calls.
+    (after any lease churn).
     """
 
     day_starts: np.ndarray
@@ -169,32 +170,31 @@ class DaysActivity:
         return slice(int(self.day_starts[day]), int(self.day_starts[day + 1]))
 
 
-def _day_starts(counts: Sequence[int]) -> np.ndarray:
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    if counts:
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=starts[1:])
-    return starts
+#: One day's subscriber rows as a policy draws them:
+#: ``(sub_ids, sub_offsets, hit_base, normals)``.  ``hit_base`` holds
+#: median hits (or, for servers, the drawn hit counts) and ``normals``
+#: the day's standard-normal draws; :meth:`AddressPolicy._hits` turns
+#: a horizon of them into hit counts in one pass.
+DayRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+#: The rows of a day without CDN-visible activity.
+_NO_ROWS: DayRows = (_EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
-def _concat_rows(parts: Sequence[np.ndarray], dtype: type = np.int64) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate(parts)
-
-
-def _silent_days(num_days: int, snapshots: dict[int, np.ndarray]) -> DaysActivity:
-    """A horizon with no CDN-visible activity (infrastructure blocks)."""
-    return DaysActivity(
-        day_starts=np.zeros(num_days + 1, dtype=np.int64),
-        sub_ids=np.empty(0, dtype=np.int64),
-        sub_hits=np.empty(0, dtype=np.int64),
-        sub_offsets=np.empty(0, dtype=np.int64),
-        snapshots=snapshots,
-    )
+def _row_scales(traffic_scales: Sequence[float], counts: Sequence[int]) -> np.ndarray:
+    """Each row's traffic scale: its day's entry of *traffic_scales*."""
+    return np.repeat(np.asarray(traffic_scales, dtype=np.float64), counts)
 
 
 class AddressPolicy(abc.ABC):
-    """Base class: a stateful per-/24 activity generator."""
+    """Base class: a stateful per-/24 activity generator.
+
+    A subclass supplies one day of draws (:meth:`_draw_day`) and, where
+    its hit math differs from the subscriber log-normal, :meth:`_hits`;
+    :meth:`days_activity` is the only driver of both.
+    """
 
     kind: ClassVar[PolicyKind]
 
@@ -204,12 +204,36 @@ class AddressPolicy(abc.ABC):
         self._config = config
 
     @abc.abstractmethod
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
-        """Advance one day and return the block's CDN activity."""
+    def assigned_offsets(self) -> np.ndarray:
+        """Offsets currently holding an assignment (probe-relevant).
+
+        Always a fresh array: callers may keep it while the policy
+        keeps simulating.
+        """
 
     @abc.abstractmethod
-    def assigned_offsets(self) -> np.ndarray:
-        """Offsets currently holding an assignment (probe-relevant)."""
+    def _draw_day(self, factor: float) -> DayRows:
+        """Advance one day under weekday *factor*: today's draws, in order.
+
+        Every RNG draw of the day happens here, so a horizon consumes
+        the policy's stream identically however it is split into
+        :meth:`days_activity` calls.
+        """
+
+    def _hits(
+        self,
+        hit_base: np.ndarray,
+        normals: np.ndarray,
+        traffic_scales: Sequence[float],
+        counts: Sequence[int],
+    ) -> np.ndarray:
+        """Hit counts of a horizon's concatenated rows (element-wise).
+
+        *counts* is the number of rows of each day, *traffic_scales*
+        that day's traffic scale.  Subscribers' hits are log-normal
+        around their median and ignore the traffic scale.
+        """
+        return hits_from_medians(hit_base, normals)
 
     def days_activity(
         self,
@@ -217,43 +241,40 @@ class AddressPolicy(abc.ABC):
         traffic_scales: Sequence[float],
         snapshot_days: Iterable[int] = (),
     ) -> DaysActivity:
-        """Advance ``len(day_of_weeks)`` days in one batched call.
+        """Advance ``len(day_of_weeks)`` days in one call.
 
-        The contract: for the same starting state, the returned rows
-        for day ``d`` are element-wise identical to what ``d + 1``
-        scalar :meth:`day_activity` calls would have produced on day
-        ``d``, the policy's internal RNG finishes in the identical
-        state, and ``snapshots[d]`` equals an
-        :meth:`assigned_offsets` call made right after day ``d``.
-
-        This base implementation simply loops the scalar path — always
-        correct, never fast.  The built-in policies override it with
-        kernels that make bit-identical RNG calls day by day but defer
-        every deterministic computation (hit medians, log-normal
-        ``exp``, traffic scaling, aggregation) to single array ops
-        over the whole horizon.
+        The contract: simulating ``[0, n)`` in one call or as ``[0, k)``
+        then ``[k, n)`` yields the same rows for every day, the same
+        snapshots, and leaves the policy's RNG in the same state.
+        ``snapshots[d]`` is :meth:`assigned_offsets` right after day
+        ``d``.  Draws are made day by day (:meth:`_draw_day`); all
+        deterministic math (log-normal ``exp``, traffic scaling) runs
+        once over the horizon's rows (:meth:`_hits`).
         """
-        _, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        hits: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
+        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
+        days: list[DayRows] = []
         snapshots: dict[int, np.ndarray] = {}
-        for day, day_of_week in enumerate(day_of_weeks):
-            activity = self.day_activity(int(day_of_week), float(traffic_scales[day]))
-            counts.append(int(activity.sub_ids.size))
-            ids.append(activity.sub_ids)
-            hits.append(activity.sub_hits)
-            offs.append(activity.sub_offsets)
+        for day, factor in enumerate(factors):
+            days.append(self._draw_day(factor))
             if day in wanted:
-                snapshots[day] = self.assigned_offsets().copy()
+                snapshots[day] = self.assigned_offsets()
+        # The trailing _NO_ROWS keeps a zero-day horizon concatenable.
+        sub_ids, sub_offsets, hit_base, normals = (
+            np.concatenate(column) for column in zip(*days, _NO_ROWS)
+        )
+        counts = [rows[0].size for rows in days]
         return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=_concat_rows(hits),
-            sub_offsets=_concat_rows(offs),
+            day_starts=np.array([0, *accumulate(counts)], dtype=np.int64),
+            sub_ids=sub_ids,
+            sub_hits=self._hits(hit_base, normals, traffic_scales, counts),
+            sub_offsets=sub_offsets,
             snapshots=snapshots,
         )
+
+    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+        """Advance one day and return the block's CDN activity."""
+        day = self.days_activity([day_of_week], [traffic_scale])
+        return DayActivity.from_subscribers(day.sub_ids, day.sub_hits, day.sub_offsets)
 
     def _prepare_days(
         self,
@@ -383,18 +404,14 @@ class _SubscriberPool:
         """Indexes of subscribers active under a known weekday factor."""
         return (self._rng.random(self._count) < self._probabilities(factor)).nonzero()[0]
 
-    def active_today(self, day_of_week: int, network_type: str, config: SimulationConfig) -> np.ndarray:
-        """Indexes of subscribers active today."""
-        factor = weekday_factor(
-            day_of_week,
-            network_type,
-            config.weekend_residential_factor,
-            config.weekend_work_factor,
-        )
-        return self.active_for(factor)
+    def day_rows(self, active: np.ndarray, offsets: np.ndarray) -> DayRows:
+        """The day's rows of *active* subscribers at *offsets*.
 
-    def hits_for(self, indexes: np.ndarray) -> np.ndarray:
-        return daily_hits(self.engagement[indexes], self._rng)
+        Draws one standard normal per active subscriber — the last
+        draw of every subscriber policy's day.
+        """
+        normals = self._rng.standard_normal(active.size)
+        return self.sub_ids[active], offsets, self.median_hits[active], normals
 
 
 class StaticPolicy(AddressPolicy):
@@ -419,51 +436,10 @@ class StaticPolicy(AddressPolicy):
     def assigned_offsets(self) -> np.ndarray:
         return self._offsets.copy()
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+    def _draw_day(self, factor: float) -> DayRows:
         self._pool.turn_over()  # line keeps its address; tenant changes
-        active = self._pool.active_today(day_of_week, self.network_type, self._config)
-        return DayActivity.from_subscribers(
-            self._pool.sub_ids[active],
-            self._pool.hits_for(active),
-            self._offsets[active],
-        )
-
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        pool = self._pool
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        med: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        for day, factor in enumerate(factors):
-            # RNG order per day, as in day_activity: turnover coins,
-            # activity coins, one normal per active subscriber.
-            pool.turn_over()
-            active = pool.active_for(factor)
-            normals.append(self._rng.standard_normal(active.size))
-            counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
-            med.append(pool.median_hits[active])
-            offs.append(self._offsets[active])
-            if day in wanted:
-                snapshots[day] = self._offsets.copy()
-        sub_hits = hits_from_medians(
-            _concat_rows(med, np.float64), _concat_rows(normals, np.float64)
-        )
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+        active = self._pool.active_for(factor)
+        return self._pool.day_rows(active, self._offsets[active])
 
 
 class DynamicShortLeasePolicy(AddressPolicy):
@@ -487,61 +463,16 @@ class DynamicShortLeasePolicy(AddressPolicy):
         return len(self._pool)
 
     def assigned_offsets(self) -> np.ndarray:
-        return self._last_offsets.copy()
+        # Sorted on read: most days are never snapshotted.
+        return np.sort(self._last_offsets)
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+    def _draw_day(self, factor: float) -> DayRows:
         self._pool.turn_over()
-        active = self._pool.active_today(day_of_week, self.network_type, self._config)
+        active = self._pool.active_for(factor)
         if active.size > BLOCK_SIZE:
             active = self._rng.choice(active, size=BLOCK_SIZE, replace=False)
-        offsets = self._rng.permutation(BLOCK_SIZE)[: active.size]
-        self._last_offsets = np.sort(offsets)
-        return DayActivity.from_subscribers(
-            self._pool.sub_ids[active], self._pool.hits_for(active), offsets
-        )
-
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        pool = self._pool
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        med: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        last_offsets = self._last_offsets
-        for day, factor in enumerate(factors):
-            pool.turn_over()
-            active = pool.active_for(factor)
-            if active.size > BLOCK_SIZE:
-                active = self._rng.choice(active, size=BLOCK_SIZE, replace=False)
-            offsets = self._rng.permutation(BLOCK_SIZE)[: active.size]
-            normals.append(self._rng.standard_normal(active.size))
-            counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
-            med.append(pool.median_hits[active])
-            offs.append(offsets)
-            last_offsets = offsets  # sorting deferred to snapshot/exit
-            if day in wanted:
-                snapshots[day] = np.sort(last_offsets)
-        # Restore the scalar invariant before returning: assigned
-        # offsets reflect the last simulated day.
-        self._last_offsets = np.sort(last_offsets)
-        sub_hits = hits_from_medians(
-            _concat_rows(med, np.float64), _concat_rows(normals, np.float64)
-        )
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+        self._last_offsets = self._rng.permutation(BLOCK_SIZE)[: active.size]
+        return self._pool.day_rows(active, self._last_offsets)
 
 
 class DynamicLongLeasePolicy(AddressPolicy):
@@ -598,55 +529,13 @@ class DynamicLongLeasePolicy(AddressPolicy):
         takeable = min(churned.size, free.size)
         self._sub_offsets[churned[:takeable]] = free[:takeable]
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+    def _draw_day(self, factor: float) -> DayRows:
         churned = self._pool.turn_over()
         if churned.size:
             self._churn_tenants(churned)
         self._reassign_leases()
-        active = self._pool.active_today(day_of_week, self.network_type, self._config)
-        return DayActivity.from_subscribers(
-            self._pool.sub_ids[active],
-            self._pool.hits_for(active),
-            self._sub_offsets[active],
-        )
-
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        pool = self._pool
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        med: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        for day, factor in enumerate(factors):
-            churned = pool.turn_over()
-            if churned.size:
-                self._churn_tenants(churned)
-            self._reassign_leases()
-            active = pool.active_for(factor)
-            normals.append(self._rng.standard_normal(active.size))
-            counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
-            med.append(pool.median_hits[active])
-            offs.append(self._sub_offsets[active])
-            if day in wanted:
-                snapshots[day] = np.sort(self._sub_offsets)
-        sub_hits = hits_from_medians(
-            _concat_rows(med, np.float64), _concat_rows(normals, np.float64)
-        )
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+        active = self._pool.active_for(factor)
+        return self._pool.day_rows(active, self._sub_offsets[active])
 
 
 class RoundRobinPolicy(AddressPolicy):
@@ -673,57 +562,15 @@ class RoundRobinPolicy(AddressPolicy):
         return len(self._pool)
 
     def assigned_offsets(self) -> np.ndarray:
-        return self._last_offsets.copy()
+        # Deduplicated and sorted on read: most days are never snapshotted.
+        return np.unique(self._last_offsets)
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+    def _draw_day(self, factor: float) -> DayRows:
         self._pool.turn_over()
-        active = self._pool.active_today(day_of_week, self.network_type, self._config)
-        offsets = (self._pointer + np.arange(active.size)) % BLOCK_SIZE
+        active = self._pool.active_for(factor)
+        self._last_offsets = (self._pointer + np.arange(active.size)) % BLOCK_SIZE
         self._pointer = (self._pointer + self._advance) % BLOCK_SIZE
-        self._last_offsets = np.sort(np.unique(offsets))
-        return DayActivity.from_subscribers(
-            self._pool.sub_ids[active], self._pool.hits_for(active), offsets
-        )
-
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        pool = self._pool
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        med: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        last_offsets = self._last_offsets
-        for day, factor in enumerate(factors):
-            pool.turn_over()
-            active = pool.active_for(factor)
-            offsets = (self._pointer + np.arange(active.size)) % BLOCK_SIZE
-            self._pointer = (self._pointer + self._advance) % BLOCK_SIZE
-            normals.append(self._rng.standard_normal(active.size))
-            counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
-            med.append(pool.median_hits[active])
-            offs.append(offsets)
-            last_offsets = offsets  # dedup/sort deferred to snapshot/exit
-            if day in wanted:
-                snapshots[day] = np.sort(np.unique(last_offsets))
-        self._last_offsets = np.sort(np.unique(last_offsets))
-        sub_hits = hits_from_medians(
-            _concat_rows(med, np.float64), _concat_rows(normals, np.float64)
-        )
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+        return self._pool.day_rows(active, self._last_offsets)
 
 
 class GatewayPolicy(AddressPolicy):
@@ -765,57 +612,16 @@ class GatewayPolicy(AddressPolicy):
     def assigned_offsets(self) -> np.ndarray:
         return self._gw_offsets.copy()
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+    def _draw_day(self, factor: float) -> DayRows:
         churned = self._pool.turn_over()
         if churned.size:
             self._rehash(churned)
-        active = self._pool.active_today(day_of_week, self.network_type, self._config)
-        hits = self._pool.hits_for(active)
-        hits = np.maximum(1, (hits * traffic_scale).astype(np.int64))
-        return DayActivity.from_subscribers(
-            self._pool.sub_ids[active], hits, self._sub_gw_offsets[active]
-        )
+        active = self._pool.active_for(factor)
+        return self._pool.day_rows(active, self._sub_gw_offsets[active])
 
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        pool = self._pool
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        med: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        for day, factor in enumerate(factors):
-            churned = pool.turn_over()
-            if churned.size:
-                self._rehash(churned)
-            active = pool.active_for(factor)
-            normals.append(self._rng.standard_normal(active.size))
-            counts.append(int(active.size))
-            ids.append(pool.sub_ids[active])
-            med.append(pool.median_hits[active])
-            offs.append(self._sub_gw_offsets[active])
-            if day in wanted:
-                snapshots[day] = self._gw_offsets.copy()
-        hits = hits_from_medians(
-            _concat_rows(med, np.float64), _concat_rows(normals, np.float64)
-        )
-        # Per-row traffic scale: int64 * float64 is the same element-wise
-        # multiply the scalar path performs with a python-float scale.
-        scale_rows = np.repeat(np.asarray(traffic_scales, dtype=np.float64), counts)
-        sub_hits = np.maximum(1, (hits * scale_rows).astype(np.int64))
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+    def _hits(self, hit_base, normals, traffic_scales, counts) -> np.ndarray:
+        hits = hits_from_medians(hit_base, normals)
+        return np.maximum(1, (hits * _row_scales(traffic_scales, counts)).astype(np.int64))
 
 
 class CrawlerPolicy(AddressPolicy):
@@ -841,51 +647,15 @@ class CrawlerPolicy(AddressPolicy):
     def assigned_offsets(self) -> np.ndarray:
         return self._offsets.copy()
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
-        active = np.flatnonzero(self._rng.random(self._bot_ids.size) < 0.985)
-        # exp(0.4 * N(0,1)) consumes the same bitstream as lognormal(0, 0.4)
-        # and is the shared math of the batched days_activity path.
+    def _draw_day(self, factor: float) -> DayRows:
+        active = (self._rng.random(self._bot_ids.size) < 0.985).nonzero()[0]
         normals = self._rng.standard_normal(active.size)
-        hits = self._median_hits[active] * np.exp(_CRAWLER_SIGMA * normals)
-        hits = np.maximum(1, (hits * traffic_scale).astype(np.int64))
-        return DayActivity.from_subscribers(
-            self._bot_ids[active], hits, self._offsets[active]
-        )
+        return self._bot_ids[active], self._offsets[active], self._median_hits[active], normals
 
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        medians: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        normals: list[np.ndarray] = []
-        snapshots: dict[int, np.ndarray] = {}
-        for day in range(len(factors)):
-            active = (self._rng.random(self._bot_ids.size) < 0.985).nonzero()[0]
-            normals.append(self._rng.standard_normal(active.size))
-            counts.append(int(active.size))
-            ids.append(self._bot_ids[active])
-            medians.append(self._median_hits[active])
-            offs.append(self._offsets[active])
-            if day in wanted:
-                snapshots[day] = self._offsets.copy()
-        hits = _concat_rows(medians, np.float64) * np.exp(
-            _CRAWLER_SIGMA * _concat_rows(normals, np.float64)
-        )
-        scale_rows = np.repeat(np.asarray(traffic_scales, dtype=np.float64), counts)
-        sub_hits = np.maximum(1, (hits * scale_rows).astype(np.int64))
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=sub_hits,
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+    def _hits(self, hit_base, normals, traffic_scales, counts) -> np.ndarray:
+        # exp(0.4 * N(0,1)): the bitstream of lognormal(0, 0.4).
+        hits = hit_base * np.exp(_CRAWLER_SIGMA * normals)
+        return np.maximum(1, (hits * _row_scales(traffic_scales, counts)).astype(np.int64))
 
 
 class ServerPolicy(AddressPolicy):
@@ -911,49 +681,17 @@ class ServerPolicy(AddressPolicy):
     def scan_category(self) -> str:
         return "server"
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
+    def _draw_day(self, factor: float) -> DayRows:
         if not self._fetches_updates:
-            return DayActivity.empty()
-        active = np.flatnonzero(self._rng.random(self._offsets.size) < 0.03)
+            return _NO_ROWS  # and no draw at all
+        active = (self._rng.random(self._offsets.size) < 0.03).nonzero()[0]
         if active.size == 0:
-            return DayActivity.empty()
-        hits = self._rng.integers(1, 20, size=active.size).astype(np.int64)
-        return DayActivity.from_subscribers(
-            self._ids[active], hits, self._offsets[active]
-        )
+            return _NO_ROWS  # no hit draw on an idle day
+        hits = self._rng.integers(1, 20, size=active.size)
+        return self._ids[active], self._offsets[active], hits, _EMPTY
 
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        factors, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        num_days = len(factors)
-        snapshots = {day: self._offsets.copy() for day in wanted}
-        if not self._fetches_updates:
-            # The scalar path consumes no RNG for these blocks either.
-            return _silent_days(num_days, snapshots)
-        counts: list[int] = []
-        ids: list[np.ndarray] = []
-        hits: list[np.ndarray] = []
-        offs: list[np.ndarray] = []
-        for _ in range(num_days):
-            active = (self._rng.random(self._offsets.size) < 0.03).nonzero()[0]
-            counts.append(int(active.size))
-            if active.size == 0:
-                # Scalar path returns empty *before* drawing hit counts.
-                continue
-            hits.append(self._rng.integers(1, 20, size=active.size).astype(np.int64))
-            ids.append(self._ids[active])
-            offs.append(self._offsets[active])
-        return DaysActivity(
-            day_starts=_day_starts(counts),
-            sub_ids=_concat_rows(ids),
-            sub_hits=_concat_rows(hits),
-            sub_offsets=_concat_rows(offs),
-            snapshots=snapshots,
-        )
+    def _hits(self, hit_base, normals, traffic_scales, counts) -> np.ndarray:
+        return hit_base  # drawn as integers; no traffic scale
 
 
 class RouterPolicy(AddressPolicy):
@@ -973,19 +711,8 @@ class RouterPolicy(AddressPolicy):
     def scan_category(self) -> str:
         return "router"
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
-        return DayActivity.empty()
-
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        _, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        return _silent_days(
-            len(day_of_weeks), {day: self._offsets.copy() for day in wanted}
-        )
+    def _draw_day(self, factor: float) -> DayRows:
+        return _NO_ROWS
 
 
 class UnusedPolicy(AddressPolicy):
@@ -999,20 +726,8 @@ class UnusedPolicy(AddressPolicy):
     def assigned_offsets(self) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
 
-    def day_activity(self, day_of_week: int, traffic_scale: float = 1.0) -> DayActivity:
-        return DayActivity.empty()
-
-    def days_activity(
-        self,
-        day_of_weeks: Sequence[int],
-        traffic_scales: Sequence[float],
-        snapshot_days: Iterable[int] = (),
-    ) -> DaysActivity:
-        _, wanted = self._prepare_days(day_of_weeks, traffic_scales, snapshot_days)
-        return _silent_days(
-            len(day_of_weeks),
-            {day: np.empty(0, dtype=np.int64) for day in wanted},
-        )
+    def _draw_day(self, factor: float) -> DayRows:
+        return _NO_ROWS
 
 
 _POLICY_CLASSES: dict[PolicyKind, type[AddressPolicy]] = {

@@ -1,105 +1,222 @@
-"""The vectorized kernel's bit-identity contract, property-tested.
+"""The shard kernel and the policy bodies, pinned and property-tested.
 
-The engine's batched block-major kernel (and each policy's batched
-``days_activity``) must be *indistinguishable* from the historical
-scalar day-major loop: same rows, same RNG end state, same snapshots,
-same ShardResult — for every policy kind, across mid-stream policy
-swaps, and at UA-window boundaries.  Hypothesis drives the state space;
-the reference kernel (kept as executable spec) provides the oracle.
+Each policy kind has one day body, driven over a horizon by the base
+class's ``days_activity``; the engine has one block-major kernel,
+resumable over window-aligned day ranges.  Three kinds of check hold
+them in place:
+
+- pins: a per-kind digest of rows, snapshots and RNG end state,
+  recorded when the historical scalar ``day_activity`` twins were
+  still the oracle (the golden run and the scenario catalog pin the
+  engine the same way);
+- segmentation invariance: a horizon simulated in one call equals the
+  same horizon cut into pieces, for policies and for the kernel;
+- the day-major reference loop (``tests/sim/reference_kernel.py``),
+  which pins the kernel's block-major transposition.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import CollectionError, ConfigError
 from repro.sim import InternetPopulation, SimulationConfig
 from repro.sim.engine import (
     ShardTask,
+    _ShardState,
     _simulate_shard_blocks,
-    _simulate_shard_blocks_reference,
     _validate_windowing,
     run_sharded_collection,
+    simulate_shard,
 )
 from repro.sim.policies import PolicyKind, make_policy
+from tests.sim.reference_kernel import simulate_shard_reference
 
 CONFIG = SimulationConfig()
 ALL_KINDS = sorted(PolicyKind, key=lambda kind: kind.value)
 
 
-def scalar_days(policy, day_of_weeks, traffic_scales, snapshot_days):
-    """The oracle: one day_activity call per day, snapshots copied."""
-    rows = []
+def horizon(lo, hi):
+    """Weekdays and (growing) traffic scales of the days ``[lo, hi)``."""
+    days = range(lo, hi)
+    return [day % 7 for day in days], [1.25 ** (day / 7.0) for day in days]
+
+
+def run_policy(policy, cuts, snapshot_days):
+    """Simulate ``[cuts[0], cuts[-1])`` as one call per piece between cuts.
+
+    Returns per-day ``(ids, hits, offsets)`` rows and the snapshots,
+    both keyed by absolute day.
+    """
+    rows = {}
     snapshots = {}
-    for day, day_of_week in enumerate(day_of_weeks):
-        activity = policy.day_activity(int(day_of_week), float(traffic_scales[day]))
-        rows.append((activity.sub_ids, activity.sub_hits, activity.sub_offsets))
-        if day in snapshot_days:
-            snapshots[day] = policy.assigned_offsets().copy()
+    for lo, hi in zip(cuts, cuts[1:]):
+        day_of_weeks, traffic_scales = horizon(lo, hi)
+        activity = policy.days_activity(
+            day_of_weeks,
+            traffic_scales,
+            snapshot_days=[day - lo for day in snapshot_days if lo <= day < hi],
+        )
+        assert activity.num_days == hi - lo
+        for rel in range(hi - lo):
+            part = activity.day_slice(rel)
+            rows[lo + rel] = (
+                activity.sub_ids[part],
+                activity.sub_hits[part],
+                activity.sub_offsets[part],
+            )
+        for rel, offsets in activity.snapshots.items():
+            snapshots[lo + rel] = offsets
     return rows, snapshots
 
 
 class TestBatchedEqualsScalar:
-    """Property: days_activity == N day_activity calls, bit for bit."""
+    """Property: one ``days_activity`` call == the same days in pieces.
 
-    @settings(max_examples=8, deadline=None)
+    Any cuts ``[0, k)`` then ``[k, n)``, down to one-day steps.
+    """
+
+    @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        kind_index=st.integers(min_value=0, max_value=len(ALL_KINDS) - 1),
+        kind=st.sampled_from(ALL_KINDS),
         network_type=st.sampled_from(["residential", "work"]),
         num_days=st.integers(min_value=1, max_value=18),
         data=st.data(),
     )
     def test_rows_snapshots_and_rng_state(
-        self, seed, kind_index, network_type, num_days, data
+        self, seed, kind, network_type, num_days, data
     ):
-        kind = ALL_KINDS[kind_index]
+        cuts = sorted(
+            data.draw(st.sets(st.integers(min_value=1, max_value=num_days - 1)))
+            if num_days > 1
+            else set()
+        )
         snapshot_days = data.draw(
             st.sets(st.integers(min_value=0, max_value=num_days - 1), max_size=4)
         )
-        day_of_weeks = [day % 7 for day in range(num_days)]
-        traffic_scales = [
-            CONFIG.traffic_weekly_growth ** (day / 7.0) for day in range(num_days)
-        ]
-
-        scalar = make_policy(kind, seed, network_type, CONFIG, sub_base=5_000_000)
-        batched = make_policy(kind, seed, network_type, CONFIG, sub_base=5_000_000)
-        rows, snapshots = scalar_days(
-            scalar, day_of_weeks, traffic_scales, snapshot_days
-        )
-        activity = batched.days_activity(day_of_weeks, traffic_scales, snapshot_days)
-
-        assert activity.num_days == num_days
-        for day, (ids, hits, offs) in enumerate(rows):
-            lo = activity.day_starts[day]
-            hi = activity.day_starts[day + 1]
-            assert np.array_equal(activity.sub_ids[lo:hi], ids), day
-            assert np.array_equal(activity.sub_hits[lo:hi], hits), day
-            assert np.array_equal(activity.sub_offsets[lo:hi], offs), day
-        assert set(activity.snapshots) == set(snapshots)
-        for day, expected in snapshots.items():
-            assert np.array_equal(activity.snapshots[day], expected), day
-        # The decisive check: both policies' RNGs consumed the exact
-        # same stream, so any future draw stays identical too.
-        assert (
-            scalar._rng.bit_generator.state == batched._rng.bit_generator.state
-        )
+        splits = {
+            "whole": [0, num_days],
+            "cut": [0, *cuts, num_days],
+            "one-day": list(range(num_days + 1)),
+        }
+        results = {}
+        for name, split in splits.items():
+            policy = make_policy(kind, seed, network_type, CONFIG, sub_base=5_000_000)
+            rows, snapshots = run_policy(policy, split, snapshot_days)
+            results[name] = (rows, snapshots, policy._rng.bit_generator.state)
+        rows, snapshots, rng_state = results.pop("whole")
+        for name, (got_rows, got_snapshots, got_rng_state) in results.items():
+            for day, (ids, hits, offs) in rows.items():
+                got_ids, got_hits, got_offs = got_rows[day]
+                assert np.array_equal(got_ids, ids), (name, day)
+                assert np.array_equal(got_hits, hits), (name, day)
+                assert np.array_equal(got_offs, offs), (name, day)
+                assert got_hits.dtype == hits.dtype
+            assert set(got_snapshots) == set(snapshot_days)
+            for day, offsets in snapshots.items():
+                assert np.array_equal(got_snapshots[day], offsets), (name, day)
+            # The decisive check: every split consumed the exact same
+            # stream, so any future draw stays identical too.
+            assert got_rng_state == rng_state, name
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
     def test_future_days_unperturbed(self, kind):
-        # After a batched horizon, the next scalar day must match a
-        # pure-scalar run's — the kernel leaves no hidden state skew.
-        scalar = make_policy(kind, 77, "residential", CONFIG, sub_base=9_000_000)
+        # After a batched horizon, the next one-day step must match a
+        # run stepped one day at a time — no hidden state skew.
+        stepped = make_policy(kind, 77, "residential", CONFIG, sub_base=9_000_000)
         batched = make_policy(kind, 77, "residential", CONFIG, sub_base=9_000_000)
         for day in range(9):
-            scalar.day_activity(day % 7, 1.0)
+            stepped.day_activity(day % 7, 1.0)
         batched.days_activity([day % 7 for day in range(9)], [1.0] * 9)
-        expected = scalar.day_activity(2, 1.25)
+        expected = stepped.day_activity(2, 1.25)
         got = batched.day_activity(2, 1.25)
         assert np.array_equal(expected.sub_ids, got.sub_ids)
         assert np.array_equal(expected.sub_hits, got.sub_hits)
         assert np.array_equal(expected.sub_offsets, got.sub_offsets)
+
+
+#: Per-kind SHA-256 of :func:`policy_digest`, recorded under numpy
+#: 2.4.6 while the scalar ``day_activity`` twins were still held equal
+#: to ``days_activity``: the external pin of every policy body,
+#: crawler included (the golden world has no crawler block).
+POLICY_DIGESTS = {
+    "static": "2ae59b6ac87b076d77ff18fe987f95d27a33e2f0012ca4bc87e3d3b13b69cf31",
+    "dynamic_short": "ac6ba7e0b6bec84e47936a07a353b7e61c44f50d284b5c960c831e6508b0a74c",
+    "dynamic_long": "cfe31e08e05b096ae16f4bf6792a8fa97204e10bdecd9717a035a07ecf6408dd",
+    "round_robin": "bc207fd781d8216b9c7e52406591b6e67e30c5a7ed1e14946872119d471151fc",
+    "gateway": "9cf940cd755b7d5758012d436e7234ed173c73302e79eee0ffec63327fec2fff",
+    "crawler": "4ee284c138b8646e4b3756935f12a4d059e152d4972926d2046849ad40f4ac58",
+    "server": "6f01ab6177638a0913d0ead06e15f7ba43426710847db086bf249dd524189f7b",
+    "router": "407206ff1860f0716f33fed5a69d1f2ca25c6578c2533911f0ec9f5e93fcc31d",
+    "unused": "4276e717e18938d42835542474f074beeca9c9d8e924f440975f99ecc4feca16",
+}
+
+#: Pieces the pinned 23-day horizon is simulated in, and its scan days.
+PIN_CUTS = (0, 1, 5, 6, 13, 23)
+PIN_SNAPSHOTS = (0, 4, 5, 12, 22)
+
+#: Seed 5 takes the short-lease ">256 active" branch; seed 9 builds a
+#: server that fetches updates.
+PIN_SEEDS = (5, 9, 20160314)
+
+
+def _hash_arrays(digest, *arrays):
+    for array in arrays:
+        digest.update(array.dtype.str.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+
+
+def policy_digest(kind):
+    """SHA-256 over both network types and :data:`PIN_SEEDS` of one kind.
+
+    Covers every piece's day starts, rows and snapshots, one more day
+    through the ``day_activity`` wrapper, and the RNG end state.
+    """
+    digest = hashlib.sha256()
+    for seed in PIN_SEEDS:
+        for network_type in ("residential", "work"):
+            policy = make_policy(kind, seed, network_type, CONFIG, sub_base=7_000_000)
+            for lo, hi in zip(PIN_CUTS, PIN_CUTS[1:]):
+                day_of_weeks, traffic_scales = horizon(lo, hi)
+                activity = policy.days_activity(
+                    day_of_weeks,
+                    traffic_scales,
+                    snapshot_days=[day - lo for day in PIN_SNAPSHOTS if lo <= day < hi],
+                )
+                _hash_arrays(
+                    digest,
+                    activity.day_starts,
+                    activity.sub_ids,
+                    activity.sub_hits,
+                    activity.sub_offsets,
+                )
+                for day in sorted(activity.snapshots):
+                    digest.update(str(lo + day).encode())
+                    _hash_arrays(digest, activity.snapshots[day])
+            today = policy.day_activity(3, 1.5)
+            _hash_arrays(
+                digest,
+                today.offsets,
+                today.hits,
+                today.sub_ids,
+                today.sub_hits,
+                today.sub_offsets,
+            )
+            digest.update(repr(policy._rng.bit_generator.state).encode())
+    return digest.hexdigest()
+
+
+class TestPolicyDigest:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_policy_body_unchanged(self, kind):
+        assert policy_digest(kind) == POLICY_DIGESTS[kind.value], (
+            f"{kind.value} digest pinned under numpy 2.4.6, "
+            f"running numpy {np.__version__}"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -138,61 +255,108 @@ def assert_shard_results_equal(ref, vec):
     assert list(ref.final_kinds.items()) == list(vec.final_kinds.items())
 
 
+def draw_task(world, data):
+    """A shard task over the whole world with drawn horizon and extras."""
+    blocks = world.blocks
+    block_indexes = st.integers(min_value=0, max_value=len(blocks) - 1).map(
+        lambda i: blocks[i].index
+    )
+    num_days = data.draw(st.sampled_from([4, 6, 8, 12]))
+    window_days = data.draw(
+        st.sampled_from([w for w in (1, 2, 3, 4, 6) if num_days % w == 0])
+    )
+    # Mid-stream policy swaps: any block, any kind, any day —
+    # including day 0, same-day double swaps, and out-of-range
+    # days the kernel must ignore.
+    directives = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=num_days + 3),
+                block_indexes,
+                st.sampled_from([kind.value for kind in ALL_KINDS]),
+                st.integers(min_value=0, max_value=50),
+            ),
+            max_size=6,
+        )
+    )
+    # Scenario hit-volume windows, outages (factor 0) included.
+    perturbations = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=num_days - 1),
+                st.integers(min_value=1, max_value=num_days),
+                st.sampled_from([0.0, 0.5, 2.5]),
+                st.lists(block_indexes, min_size=1, max_size=8).map(tuple),
+            ),
+            max_size=2,
+        )
+    )
+    lo = data.draw(st.integers(min_value=0, max_value=num_days - 1))
+    hi = data.draw(st.integers(min_value=lo, max_value=num_days - 1))
+    ua_window = data.draw(st.sampled_from([None, (lo, hi)]))
+    scan_days = tuple(
+        sorted(
+            data.draw(
+                st.sets(st.integers(min_value=0, max_value=num_days - 1), max_size=3)
+            )
+        )
+    )
+    login_rate = data.draw(st.sampled_from([0.0, 0.3]))
+    return ShardTask(
+        shard_index=0,
+        config=world.config,
+        blocks=tuple(blocks),
+        num_days=num_days,
+        window_days=window_days,
+        ua_window=ua_window,
+        scan_days=scan_days,
+        login_panel_rate=login_rate,
+        directives=tuple(directives),
+        perturbations=tuple(perturbations),
+    )
+
+
 class TestKernelMatchesReference:
-    """Property: the vectorized shard kernel == the day-major spec."""
+    """Property: the block-major shard kernel == the day-major spec."""
 
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
     def test_with_directive_swaps_and_windows(self, world, data):
-        blocks = world.blocks
-        num_days = data.draw(st.sampled_from([4, 6, 8, 12]))
-        window_days = data.draw(
-            st.sampled_from([w for w in (1, 2, 3, 4, 6) if num_days % w == 0])
-        )
-        # Mid-stream policy swaps: any block, any kind, any day —
-        # including day 0, same-day double swaps, and out-of-range
-        # days the kernels must both ignore.
-        directives = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=-1, max_value=num_days + 3),
-                    st.integers(min_value=0, max_value=len(blocks) - 1).map(
-                        lambda i: blocks[i].index
-                    ),
-                    st.sampled_from([kind.value for kind in ALL_KINDS]),
-                    st.integers(min_value=0, max_value=50),
-                ),
-                max_size=6,
-            )
-        )
-        lo = data.draw(st.integers(min_value=0, max_value=num_days - 1))
-        hi = data.draw(st.integers(min_value=lo, max_value=num_days - 1))
-        ua_window = data.draw(st.sampled_from([None, (lo, hi)]))
-        scan_days = tuple(
-            sorted(
-                data.draw(
-                    st.sets(
-                        st.integers(min_value=0, max_value=num_days - 1), max_size=3
-                    )
-                )
-            )
-        )
-        login_rate = data.draw(st.sampled_from([0.0, 0.3]))
+        task = draw_task(world, data)
+        assert_shard_results_equal(simulate_shard_reference(task), simulate_shard(task))
 
+
+class TestKernelSegmentation:
+    """Property: the kernel over ``[0, n)`` == over window-aligned pieces."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_pieces_equal_one_call(self, world, data):
+        task = draw_task(world, data)
+        boundaries = range(task.window_days, task.num_days, task.window_days)
+        cuts = sorted(data.draw(st.sets(st.sampled_from(boundaries))) if boundaries else ())
+        state = _ShardState(task)
+        for lo, hi in zip([0, *cuts], [*cuts, task.num_days]):
+            _simulate_shard_blocks(state, lo, hi)
+        assert_shard_results_equal(simulate_shard(task), state.result())
+
+    @pytest.mark.parametrize(
+        ("lo", "hi"), [(2, 6), (0, 3), (0, 0), (0, 12)], ids=["gap", "unaligned", "empty", "past"]
+    )
+    def test_rejects_ranges_that_do_not_continue(self, world, lo, hi):
         task = ShardTask(
             shard_index=0,
             config=world.config,
-            blocks=tuple(blocks),
-            num_days=num_days,
-            window_days=window_days,
-            ua_window=ua_window,
-            scan_days=scan_days,
-            login_panel_rate=login_rate,
-            directives=tuple(directives),
+            blocks=tuple(world.blocks[:3]),
+            num_days=6,
+            window_days=2,
+            ua_window=None,
+            scan_days=(),
+            login_panel_rate=0.0,
+            directives=(),
         )
-        assert_shard_results_equal(
-            _simulate_shard_blocks_reference(task), _simulate_shard_blocks(task)
-        )
+        with pytest.raises(CollectionError, match="does not continue"):
+            _simulate_shard_blocks(_ShardState(task), lo, hi)
 
 
 class TestScanSnapshotIsolation:
@@ -225,7 +389,7 @@ class TestScanSnapshotIsolation:
             login_panel_rate=0.0,
             directives=(),
         )
-        result = _simulate_shard_blocks(task)
+        result = simulate_shard(task)
         assert set(result.scan_states) == {1, 4}
         for states in result.scan_states.values():
             for _, offsets in states.values():
@@ -297,6 +461,6 @@ class TestPartialWindowRejected:
             directives=(),
         )
         with pytest.raises(ConfigError, match="not a multiple"):
-            _simulate_shard_blocks(task)
+            simulate_shard(task)
         with pytest.raises(ConfigError, match="not a multiple"):
-            _simulate_shard_blocks_reference(task)
+            simulate_shard_reference(task)

@@ -22,12 +22,12 @@ collection code paths (``src/repro/sim``, ``src/repro/core``):
   (``np.random.seed/rand/randint/...``) share hidden mutable state
   across callers; only per-stream ``Generator`` objects are allowed.
 - D106 — a per-iteration RNG draw inside a loop in the collection
-  engine's hot path (``src/repro/sim/engine.py``).  The vectorized
-  kernel delegates all per-day draws to the policies' batched
-  ``days_activity`` kernels; a scalar draw loop reintroduced at the
-  engine layer is almost always the interpreted hot path the
-  vectorization removed.  Legitimate cases (e.g. a reference kernel
-  kept as executable spec) carry a justified
+  engine's hot path (``src/repro/sim/engine.py``).  The engine's one
+  shard kernel delegates all per-day draws to the policies'
+  ``days_activity``; a scalar draw loop reintroduced at the engine
+  layer is almost always the interpreted hot path the vectorization
+  removed.  (The day-major reference loop lives in the test tree,
+  outside this scope.)  Legitimate cases carry a justified
   ``# reprolint: disable=D106 -- why`` suppression.
 - D107 — an RNG draw inside the scenario library's apply path
   (``perturb*``/``apply*`` functions in ``src/repro/sim/scenario.py``).
