@@ -1,15 +1,16 @@
-"""Out-of-core dataset store: sharded raw ``.npz`` layout + manifest.
+"""Out-of-core dataset store: immutable raw ``.npz`` segments + manifest.
 
 The legacy persistence format (:mod:`repro.core.io`) is one ``.npz``
 holding every snapshot column — loading it materializes the full
 address matrix, which caps analysis at whatever fits in RAM.  The paper
 analyzed 1.2B active addresses over a year; this module is the layout
-that lets the reproduction head there: a **store** is a directory of
-shard files, each a raw-member (uncompressed) ``.npz`` covering a
-contiguous range of the dataset's active /24 blocks, plus a JSON
-manifest binding them together.
+that lets the reproduction head there: a **store** is a set of
+immutable **segments** plus a JSON manifest binding them together.  A
+segment is a raw-member (uncompressed) ``.npz`` covering a contiguous
+range of active /24 blocks over a contiguous range of snapshots.
 
-Layout::
+A batch store (:class:`StoreWriter`) is the special case of one
+segment per shard over every snapshot, all beside the manifest::
 
     <root>/
         store.manifest.json          # schema, day range, shard table,
@@ -17,23 +18,44 @@ Layout::
         shard_000000_000256.npz      # blocks [0, 256) of the sorted
         shard_000256_000512.npz      # active-/24 table, all snapshots
 
+A **live** store (:class:`StoreAppender`) grows one snapshot per
+commit.  Commit *k* writes only its own column, as segments chunked by
+``shard_blocks``, into ``gen_<k>/`` beside a manifest that lists every
+live segment (its own and those of commits ``1..k-1``), then flips
+``live.json`` to *k* and deletes commit *k-1*'s now-superseded
+manifest, so one manifest exists at rest::
+
+    <root>/
+        live.json                    # {"schema": 1, "generation": 3}
+        gen_000001/                  # snapshot 0's segments
+        gen_000002/                  # snapshot 1's segments
+        gen_000003/
+            store.manifest.json      # segments of snapshots 0..2
+            shard_000000_000256.npz  # snapshot 2, its /24s [0, 256)
+            shard_000256_000290.npz  # snapshot 2, its /24s [256, 290)
+
 Shard files reuse the checkpoint naming convention from
-:mod:`repro.sim.checkpoint` (``shard_<start>_<stop>.npz`` keyed by
-global block range).  Each shard holds, per snapshot, the ``(ips,
-hits)`` columns restricted to its address range, sorted — plus the same
-header members as the legacy format, so every shard is independently a
-valid (partial) dataset file.
+:mod:`repro.sim.checkpoint` (``shard_<start>_<stop>.npz``, keyed by the
+block range in the sorted active-/24 table of the segment's snapshot
+range).  Each segment holds, per snapshot, the ``(ips, hits)`` columns
+restricted to its address range, sorted — plus the same header members
+as the legacy format (``start`` is the segment's first snapshot), so
+every segment is independently a valid (partial) dataset file.
 
-Shards are keyed by **sorted /24 base address**, not by world-gen block
-index: the population allocator interleaves countries, so block index
-order is not address order, and only address-keyed ranges make
-``searchsorted`` slicing of sorted snapshot columns valid.  Shard
-boundaries are 256-aligned — a /24 is never split across shards — so
-per-/24 quantities (filling degree, STU, block activity) decompose
-exactly over shards, and concatenating shard columns in shard order
-reproduces the legacy arrays bit-identically.
+Segments are keyed by **sorted /24 base address**, not by world-gen
+block index: the population allocator interleaves countries, so block
+index order is not address order, and only address-keyed ranges make
+``searchsorted`` slicing of sorted snapshot columns valid.  Segment
+boundaries are 256-aligned — a /24 is never split — so per-/24
+quantities (filling degree, STU, block activity) decompose exactly over
+address ranges, and concatenating one snapshot's segments in address
+order reproduces the legacy column bit-identically.  Every reader
+composes segments that way; :attr:`DatasetStore.shards` presents a
+segmented store to the streamed analyses as batch-shaped address-range
+views, and the streamed dataset SHA-256 is byte-identical to the batch
+digest.
 
-Memory model: analyses stream shard by shard.  Shard *data* is read
+Memory model: analyses stream shard by shard.  Segment *data* is read
 with bounded buffered copies (one member at a time) rather than
 ``mmap`` — mapped pages fault into the process RSS and would defeat a
 constant-memory ceiling — while :meth:`DatasetStore.to_dataset` and the
@@ -43,16 +65,15 @@ the caller wants the whole matrix anyway.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import hashlib
 import json
 import math
 import os
-import re
-import shutil
 import zipfile
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Any
 
 import numpy as np
@@ -63,8 +84,12 @@ from repro.core.io import _CORRUPT_NPZ_ERRORS, atomic_write_npz, atomic_write_te
 from repro.errors import DatasetError
 from repro.obs import context as obs
 
-#: Bump when the shard payload or manifest schema changes.
+#: Manifest schema of the batch layout: every shard covers every snapshot.
 STORE_FORMAT_VERSION = 1
+
+#: Manifest schema of the segmented (live) layout: every row also names
+#: its snapshot range and the generation directory holding its file.
+SEGMENTED_FORMAT_VERSION = 2
 
 #: Manifest file name inside a store directory.
 STORE_MANIFEST_NAME = "store.manifest.json"
@@ -75,20 +100,20 @@ LIVE_POINTER_NAME = "live.json"
 #: Bump when the live-pointer schema changes.
 LIVE_POINTER_VERSION = 1
 
-#: Generation directory names inside a live store root.
-_GENERATION_PATTERN = re.compile(r"^gen_(\d{6})$")
-
 #: Addresses per /24 block.
 _BLOCK_SPAN = 256
 
 #: Dataset-format version shared with the legacy single-file layout —
-#: each shard is independently a valid (partial) legacy dataset file.
+#: each segment is independently a valid (partial) legacy dataset file.
 _DATASET_VERSION = 1
 
 #: Size of the fixed portion of a zip local file header (bytes).
 _ZIP_LOCAL_HEADER_SIZE = 30
 
 _ZIP_LOCAL_MAGIC = b"PK\x03\x04"
+
+#: A ``.npy`` member's located layout: shape, dtype, data offset (-1 = not raw).
+_MemberLayout = tuple[tuple[int, ...], np.dtype[Any], int]
 
 
 def shard_file_name(block_start: int, block_stop: int) -> str:
@@ -153,11 +178,11 @@ def resolve_store_root(path: str | os.PathLike[str]) -> str:
 
     A plain store directory resolves to itself.  A **live** store —
     one whose snapshots are appended interval by interval through
-    :class:`StoreAppender` — keeps each committed state as a complete
-    store under a generation directory and points at the current one
-    with ``live.json``; such a root resolves to its committed
-    generation directory, so every store consumer (``open_store``,
-    ``repro analyze``) reads a live store transparently.
+    :class:`StoreAppender` — points at its committed generation with
+    ``live.json``, and that generation's manifest lists every live
+    segment; such a root resolves to the committed generation
+    directory, so every store consumer (``open_store``, ``repro
+    analyze``) reads a live store transparently.
     """
     root = os.fspath(path)
     if os.path.isfile(store_manifest_path(root)):
@@ -198,15 +223,21 @@ class RawNpzReader:
     Members that are compressed (or Fortran-ordered / object-dtype)
     fall back to ``np.lib.format.read_array`` through the zip stream;
     :meth:`data_offset` returns ``-1`` for them so callers needing the
-    zero-copy guarantee can detect and bail.
+    zero-copy guarantee can detect and bail.  *members* seeds the
+    located-layout cache, so a reader reopened on an immutable file
+    skips the ``.npy`` header parses an earlier reader already did.
     """
 
-    def __init__(self, path: str | os.PathLike[str]) -> None:
+    def __init__(
+        self,
+        path: str | os.PathLike[str],
+        members: dict[str, _MemberLayout] | None = None,
+    ) -> None:
         self._path = os.fspath(path)
         self._zip = zipfile.ZipFile(self._path)
         self._file: IO[bytes] = open(self._path, "rb")
         # member name -> (shape, dtype, data offset; -1 = not raw)
-        self._headers: dict[str, tuple[tuple[int, ...], np.dtype[Any], int]] = {}
+        self._headers: dict[str, _MemberLayout] = {} if members is None else members
 
     def close(self) -> None:
         self._zip.close()
@@ -230,7 +261,7 @@ class RawNpzReader:
             if name.endswith(".npy")
         ]
 
-    def _locate(self, name: str) -> tuple[tuple[int, ...], np.dtype[Any], int]:
+    def _locate(self, name: str) -> _MemberLayout:
         cached = self._headers.get(name)
         if cached is not None:
             return cached
@@ -321,7 +352,7 @@ class RawNpzReader:
 
 @dataclass(frozen=True)
 class StoreHeader:
-    """The day-range header every shard of one store must agree on."""
+    """The day-range header of a store, or of one of its segments."""
 
     start: datetime.date
     window_days: int
@@ -333,10 +364,25 @@ class StoreHeader:
             f"from {self.start.isoformat()}"
         )
 
+    def segment(self, snapshot_start: int, snapshot_stop: int) -> "StoreHeader":
+        """The header of a segment covering snapshots ``[start, stop)``."""
+        return StoreHeader(
+            self.start
+            + datetime.timedelta(days=snapshot_start * self.window_days),
+            self.window_days,
+            snapshot_stop - snapshot_start,
+        )
+
 
 @dataclass(frozen=True)
 class ShardInfo:
-    """One manifest row: a shard's block range, address range, and hash."""
+    """One manifest row: a segment's block, address and snapshot ranges, and hash.
+
+    The block range indexes the sorted active-/24 table of the
+    segment's snapshot range.  ``generation`` is ``None`` for a batch
+    store's shards (the file sits beside the manifest); a live store's
+    rows name the generation directory that holds the file.
+    """
 
     name: str
     block_start: int
@@ -345,13 +391,16 @@ class ShardInfo:
     base_hi: int  # exclusive
     sha256: str
     nbytes: int
+    snapshot_start: int
+    snapshot_stop: int  # exclusive
+    generation: int | None = None
 
     @property
     def num_blocks(self) -> int:
         return self.block_stop - self.block_start
 
     def as_dict(self) -> dict[str, Any]:
-        return {
+        row: dict[str, Any] = {
             "name": self.name,
             "block_start": self.block_start,
             "block_stop": self.block_stop,
@@ -360,9 +409,19 @@ class ShardInfo:
             "sha256": self.sha256,
             "bytes": self.nbytes,
         }
+        if self.generation is not None:
+            row.update(
+                generation=self.generation,
+                snapshot_start=self.snapshot_start,
+                snapshot_stop=self.snapshot_stop,
+            )
+        return row
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardInfo":
+    def from_dict(
+        cls, payload: dict[str, Any], *, segmented: bool, num_snapshots: int
+    ) -> "ShardInfo":
+        """Parse one row; a batch row spans all *num_snapshots* snapshots."""
         try:
             return cls(
                 name=str(payload["name"]),
@@ -372,25 +431,50 @@ class ShardInfo:
                 base_hi=int(payload["base_hi"]),
                 sha256=str(payload["sha256"]),
                 nbytes=int(payload["bytes"]),
+                snapshot_start=int(payload["snapshot_start"]) if segmented else 0,
+                snapshot_stop=(
+                    int(payload["snapshot_stop"]) if segmented else num_snapshots
+                ),
+                generation=int(payload["generation"]) if segmented else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"malformed store manifest shard entry: {exc}") from exc
 
 
 class StoreShard:
-    """One shard of a store: lazy reader plus its manifest row."""
+    """One segment of a store: lazy reader plus its manifest row.
 
-    def __init__(self, root: str | os.PathLike[str], info: ShardInfo) -> None:
+    *root* is the directory of the manifest listing the segment.  The
+    header, per-snapshot sizes and member layout are cached for the
+    object's lifetime — segments are immutable — so :meth:`close`
+    releases only the OS handles.
+    """
+
+    def __init__(
+        self,
+        root: str | os.PathLike[str],
+        info: ShardInfo,
+        *,
+        header: StoreHeader | None = None,
+        sizes: list[int] | None = None,
+    ) -> None:
         self.info = info
-        self.path = os.path.join(os.fspath(root), info.name)
+        directory = os.fspath(root)
+        if info.generation is not None:
+            directory = os.path.join(
+                os.path.dirname(os.path.normpath(directory)),
+                generation_dir_name(info.generation),
+            )
+        self.path = os.path.join(directory, info.name)
         self._reader: RawNpzReader | None = None
-        self._header: StoreHeader | None = None
-        self._sizes: list[int] | None = None
+        self._header = header
+        self._sizes = sizes
+        self._members: dict[str, _MemberLayout] = {}
 
     def reader(self) -> RawNpzReader:
         if self._reader is None:
             try:
-                self._reader = RawNpzReader(self.path)
+                self._reader = RawNpzReader(self.path, self._members)
             except FileNotFoundError as exc:
                 raise DatasetError(f"missing store shard file: {self.path}") from exc
             except _CORRUPT_NPZ_ERRORS as exc:
@@ -403,6 +487,10 @@ class StoreShard:
         if self._reader is not None:
             self._reader.close()
             self._reader = None
+
+    def covers(self, lo: int, hi: int) -> bool:
+        """True when the segment's address range meets ``[lo, hi]``."""
+        return self.info.base_hi > lo and self.info.base_lo <= hi
 
     def _scalar(self, name: str) -> int:
         try:
@@ -417,7 +505,7 @@ class StoreShard:
             ) from exc
 
     def header(self) -> StoreHeader:
-        """The shard's day-range header (validated dataset version)."""
+        """The segment's day-range header (validated dataset version)."""
         if self._header is None:
             version = self._scalar("version")
             if version != _DATASET_VERSION:
@@ -433,7 +521,7 @@ class StoreShard:
         return self._header
 
     def ranges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The shard's recorded ``(block_range, base_range)`` members."""
+        """The segment's recorded ``(block_range, base_range)`` members."""
         try:
             block_range = self.reader().array("block_range")
             base_range = self.reader().array("base_range")
@@ -449,7 +537,7 @@ class StoreShard:
         )
 
     def snapshot_sizes(self) -> list[int]:
-        """Active addresses per snapshot, from headers only (no data read)."""
+        """Active addresses per covered snapshot, from headers only."""
         if self._sizes is None:
             count = self.header().num_snapshots
             sizes: list[int] = []
@@ -462,10 +550,11 @@ class StoreShard:
     def columns(
         self, index: int, *, mmap: bool = False
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Snapshot *index*'s ``(ips, hits)`` columns within this shard."""
+        """Store snapshot *index*'s ``(ips, hits)`` columns within this segment."""
+        local = index - self.info.snapshot_start
         try:
-            ips = self.reader().array(f"ips_{index}", mmap=mmap)
-            hits = self.reader().array(f"hits_{index}", mmap=mmap)
+            ips = self.reader().array(f"ips_{local}", mmap=mmap)
+            hits = self.reader().array(f"hits_{local}", mmap=mmap)
         except _CORRUPT_NPZ_ERRORS as exc:
             raise DatasetError(
                 f"corrupt or truncated store shard: {self.path} ({exc})"
@@ -473,57 +562,109 @@ class StoreShard:
         return ips, hits
 
 
-def _streamed_digest(
-    shards: Sequence[StoreShard],
-    start: datetime.date,
-    window_days: int,
-    num_snapshots: int,
-) -> str:
-    """The dataset SHA-256, computed shard-at-a-time in bounded memory.
+def _slice_segments(
+    segments: Sequence[StoreShard],
+    index: int,
+    lo: int,
+    hi: int,
+    *,
+    mmap: bool = False,
+) -> tuple[NDArray[Any], NDArray[Any]]:
+    """Snapshot *index*'s ``(ips, hits)`` in ``[lo, hi]`` from *segments*.
 
-    Byte-for-byte the same stream as
-    :func:`repro.obs.manifest.dataset_digest` hashes for the in-memory
-    dataset: the header line, then per snapshot, per column kind, the
-    dtype/size prefix followed by the column bytes.  A store's column
-    is split across shards in ascending address order, so feeding each
-    shard's member bytes in shard order reproduces the concatenated
-    column exactly — holding only one member in memory at a time.
+    *segments* are one snapshot range's segments in address order;
+    only those meeting the range are read, and each is closed right
+    after: a live store holds segments in proportion to its history,
+    so holding them open would exhaust the process's file handles.
+    A reopen is cheap — the segment keeps its member layout — and the
+    returned columns are copies or maps that outlive the reader.
     """
-    digest = hashlib.sha256()
-    digest.update(f"v1|{start.toordinal()}|{window_days}|{num_snapshots}".encode())
-    try:
-        sizes = [shard.snapshot_sizes() for shard in shards]
-        for index in range(num_snapshots):
-            total = sum(per_shard[index] for per_shard in sizes)
-            for member_prefix, expected_dtype in (("ips", "<u4"), ("hits", "<u8")):
-                digest.update(f"|{expected_dtype}|{total}|".encode())
-                for shard in shards:
-                    column = shard.reader().array(f"{member_prefix}_{index}")
-                    if column.dtype.str != expected_dtype:
-                        raise DatasetError(
-                            f"bad column dtype in shard {shard.path}: "
-                            f"{member_prefix}_{index} is {column.dtype.str}, "
-                            f"expected {expected_dtype}"
-                        )
-                    digest.update(column.tobytes())
-    finally:
-        # Each shard's reader was opened here; release every one even
-        # on a mid-stream error (the callers' shards reopen lazily).
-        for shard in shards:
-            shard.close()
-    return digest.hexdigest()
+    ips_parts: list[NDArray[Any]] = []
+    hits_parts: list[NDArray[Any]] = []
+    for segment in segments:
+        if not segment.covers(lo, hi):
+            continue
+        try:
+            ips, hits = segment.columns(index, mmap=mmap)
+        finally:
+            segment.close()
+        left = int(np.searchsorted(ips, lo))
+        right = int(np.searchsorted(ips, hi, side="right"))
+        if right > left:
+            ips_parts.append(ips[left:right])
+            hits_parts.append(hits[left:right])
+    if not ips_parts:
+        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64)
+    return (
+        np.concatenate(ips_parts),  # bounded: one requested address slice
+        np.concatenate(hits_parts),  # bounded: one requested address slice
+    )
+
+
+@dataclass
+class _Run:
+    """Segments sharing one snapshot range, in ascending address order."""
+
+    start: int
+    stop: int
+    segments: list[StoreShard] = field(default_factory=list)
+
+
+def _group_runs(segments: Sequence[StoreShard]) -> list[_Run]:
+    runs: list[_Run] = []
+    for segment in segments:
+        span = (segment.info.snapshot_start, segment.info.snapshot_stop)
+        if not runs or (runs[-1].start, runs[-1].stop) != span:
+            runs.append(_Run(*span))
+        runs[-1].segments.append(segment)
+    return runs
+
+
+class StoreView:
+    """One /24 address range of a segmented store, over every snapshot.
+
+    Duck-types the part of :class:`StoreShard` the streamed analyses
+    use — :meth:`columns` and :meth:`close` — by slicing the range out
+    of each snapshot's segments, so a live store streams exactly as the
+    batch store of the same dataset does.  Each slice releases the
+    segments it read, so a view holds no handle between calls.
+    """
+
+    def __init__(self, store: "DatasetStore", base_lo: int, base_hi: int) -> None:
+        self.base_lo = base_lo
+        self.base_hi = base_hi  # exclusive
+        self._store = store
+
+    def __repr__(self) -> str:
+        return f"StoreView([{self.base_lo:#010x}, {self.base_hi:#010x}))"
+
+    def columns(
+        self, index: int, *, mmap: bool = False
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Store snapshot *index*'s ``(ips, hits)`` within this range."""
+        return _slice_segments(
+            self._store.segments_of(index),
+            index,
+            self.base_lo,
+            self.base_hi - 1,
+            mmap=mmap,
+        )
+
+    def close(self) -> None:
+        """Nothing to release: :meth:`columns` closes what it opens."""
 
 
 class DatasetStore:
-    """A validated handle to an on-disk sharded dataset store.
+    """A validated handle to an on-disk segmented dataset store.
 
     Open one with :meth:`DatasetStore.open` (or
     :func:`repro.core.io.open_store`).  Opening validates the manifest
-    and every shard's header eagerly — block ranges must tile
-    ``[0, num_blocks)`` contiguously, address ranges must be
-    256-aligned, ascending, and disjoint, and every shard must agree on
-    the day range — but reads shard *data* lazily, one member at a
-    time.
+    and every segment's header eagerly — segments sharing a snapshot
+    range must tile their block range contiguously with 256-aligned,
+    ascending, disjoint address ranges, snapshot ranges must ascend
+    without overlap, and every segment must carry its snapshot range's
+    day header — but reads segment *data* lazily, one member at a time.
+    A snapshot no segment covers is empty.
     """
 
     def __init__(
@@ -536,7 +677,7 @@ class DatasetStore:
         shard_blocks: int,
         num_blocks: int,
         dataset_sha256: str,
-        shards: list[StoreShard],
+        segments: list[StoreShard],
     ) -> None:
         self.root = root
         self.start = start
@@ -545,12 +686,15 @@ class DatasetStore:
         self.shard_blocks = shard_blocks
         self.num_blocks = num_blocks
         self.dataset_sha256 = dataset_sha256
-        self.shards = shards
+        self.segments = segments
+        self._runs = _group_runs(segments)
+        self._run_starts = [run.start for run in self._runs]
+        self._views: list[StoreView] | None = None
 
     def __repr__(self) -> str:
         return (
             f"DatasetStore({self.root!r}, {self.num_blocks} blocks / "
-            f"{len(self.shards)} shards, {self.num_snapshots} x "
+            f"{len(self.segments)} segments, {self.num_snapshots} x "
             f"{self.window_days}d from {self.start.isoformat()})"
         )
 
@@ -566,47 +710,94 @@ class DatasetStore:
     def header(self) -> StoreHeader:
         return StoreHeader(self.start, self.window_days, self.num_snapshots)
 
+    @property
+    def is_batch_layout(self) -> bool:
+        """True when every segment covers every snapshot (one shard each)."""
+        return all(
+            run.start == 0 and run.stop == self.num_snapshots for run in self._runs
+        )
+
+    @property
+    def shards(self) -> Sequence[StoreShard | StoreView]:
+        """Ascending disjoint /24 ranges over every snapshot, for streaming.
+
+        A batch-layout store's segments are its shards.  A segmented
+        store gets :class:`StoreView` ranges instead: its active /24s in
+        chunks of ``shard_blocks`` — the boundaries the batch store of
+        the same dataset would have — found by one streamed pass.
+        """
+        if self.is_batch_layout:
+            return self.segments
+        if self._views is None:
+            bases = self.active_block_bases()
+            self._views = [
+                StoreView(
+                    self,
+                    int(bases[offset]),
+                    int(bases[min(offset + self.shard_blocks, bases.size) - 1])
+                    + _BLOCK_SPAN,
+                )
+                for offset in range(0, int(bases.size), self.shard_blocks)
+            ]
+        return self._views
+
+    def segments_of(self, index: int) -> Sequence[StoreShard]:
+        """The segments holding snapshot *index*, in address order."""
+        position = bisect.bisect_right(self._run_starts, index) - 1
+        if position >= 0 and index < self._runs[position].stop:
+            return self._runs[position].segments
+        return ()
+
     def snapshot_start(self, index: int) -> datetime.date:
         return self.start + datetime.timedelta(days=index * self.window_days)
 
     def active_counts(self) -> NDArray[np.int64]:
         """Active addresses per snapshot — from ``.npy`` headers only."""
         counts = np.zeros(self.num_snapshots, dtype=np.int64)
-        for shard in self.shards:
-            counts += np.asarray(shard.snapshot_sizes(), dtype=np.int64)
+        for segment in self.segments:
+            try:
+                counts[segment.info.snapshot_start : segment.info.snapshot_stop] += (
+                    np.asarray(segment.snapshot_sizes(), dtype=np.int64)
+                )
+            finally:
+                segment.close()
         return counts
 
     def nbytes(self) -> int:
-        """Total shard file bytes, per the manifest."""
-        return sum(shard.info.nbytes for shard in self.shards)
+        """Total segment file bytes, per the manifest."""
+        return sum(segment.info.nbytes for segment in self.segments)
 
     def active_block_bases(self) -> NDArray[np.int64]:
-        """Sorted /24 bases with any activity, streamed shard by shard.
+        """Sorted /24 bases with any activity, streamed segment by segment.
 
-        Shards cover ascending disjoint address ranges, so per-shard
-        sorted base sets concatenate into the global sorted base table;
-        peak memory is one shard's columns plus the base table itself
-        (O(active /24s), not O(addresses)).
+        Within a snapshot range, segments cover ascending disjoint
+        address ranges, so their sorted base sets concatenate; ranges
+        are then merged by sorted union.  Peak memory is one segment's
+        columns plus the base table itself (O(active /24s), not
+        O(addresses)).
         """
-        parts: list[NDArray[np.int64]] = []
-        for shard in self.shards:
-            try:
-                masked = [
-                    (shard.columns(index)[0] & np.uint32(0xFFFFFF00)).astype(
-                        np.int64
-                    )
-                    for index in range(self.num_snapshots)
-                ]
-                nonempty = [blocks for blocks in masked if blocks.size]
-                if nonempty:
-                    parts.append(
-                        np.unique(np.concatenate(nonempty))  # bounded: one shard
-                    )
-            finally:
-                shard.close()
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)  # O(active /24s), not O(addresses)
+        bases: NDArray[np.int64] = np.empty(0, dtype=np.int64)
+        for run in self._runs:
+            parts: list[NDArray[np.int64]] = []
+            for segment in run.segments:
+                try:
+                    masked = [
+                        (
+                            segment.columns(index)[0] & np.uint32(0xFFFFFF00)
+                        ).astype(np.int64)
+                        for index in range(run.start, run.stop)
+                    ]
+                    nonempty = [blocks for blocks in masked if blocks.size]
+                    if nonempty:
+                        parts.append(
+                            np.unique(np.concatenate(nonempty))  # bounded: one shard
+                        )
+                finally:
+                    segment.close()
+            if parts:
+                run_bases = np.concatenate(parts)  # O(active /24s)
+                bases = np.union1d(bases, run_bases) if bases.size else run_bases
+        return bases
 
     def column_slice(
         self, index: int, lo: int, hi: int
@@ -614,27 +805,11 @@ class DatasetStore:
         """Snapshot *index*'s ``(ips, hits)`` restricted to ``[lo, hi]``.
 
         *hi* is inclusive (the exclusive bound of the top /24 would
-        overflow ``uint32``).  Reads only the shards whose address
-        range overlaps the request, so the result is bounded by the
-        requested slice plus one shard's columns.
+        overflow ``uint32``).  Reads only the segments of the snapshot
+        whose address range overlaps the request, so the result is
+        bounded by the requested slice plus one segment's columns.
         """
-        ips_parts: list[NDArray[Any]] = []
-        hits_parts: list[NDArray[Any]] = []
-        for shard in self.shards:
-            if shard.info.base_hi <= lo or shard.info.base_lo > hi:
-                continue
-            ips, hits = shard.columns(index)
-            left = int(np.searchsorted(ips, lo))
-            right = int(np.searchsorted(ips, hi, side="right"))
-            if right > left:
-                ips_parts.append(ips[left:right])
-                hits_parts.append(hits[left:right])
-        if not ips_parts:
-            return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64)
-        return (
-            np.concatenate(ips_parts),  # bounded: one requested address slice
-            np.concatenate(hits_parts),  # bounded: one requested address slice
-        )
+        return _slice_segments(self.segments_of(index), index, lo, hi)
 
     def iter_union_runs(self) -> Iterator[tuple[NDArray[Any], NDArray[Any]]]:
         """Sorted ``(ips, hits)`` union runs, one per shard, streaming.
@@ -666,66 +841,126 @@ class DatasetStore:
     def to_dataset(self, *, mmap: bool = True) -> ActivityDataset:
         """Materialize the full in-memory dataset, bit-identically.
 
-        Shards cover disjoint ascending address ranges, so per-snapshot
-        concatenation in shard order yields the legacy sorted columns
+        A snapshot's segments cover disjoint ascending address ranges,
+        so concatenating them in order yields the legacy sorted column
         (``Snapshot`` re-validates strict ascent).  ``mmap=True`` backs
         the columns with read-only maps instead of copies.
         """
         snapshots: list[Snapshot] = []
-        for index in range(self.num_snapshots):
-            ips_parts: list[NDArray[Any]] = []
-            hits_parts: list[NDArray[Any]] = []
-            for shard in self.shards:
-                ips, hits = shard.columns(index, mmap=mmap)
-                if ips.size:
-                    ips_parts.append(ips)
-                    hits_parts.append(hits)
-            if ips_parts:
-                # Materializing is this method's contract:
-                ips_col: NDArray[Any] = np.concatenate(ips_parts)  # whole matrix wanted
-                hits_col: NDArray[Any] = np.concatenate(hits_parts)  # whole matrix wanted
-            else:
-                ips_col = np.empty(0, dtype=np.uint32)
-                hits_col = np.empty(0, dtype=np.uint64)
-            snapshots.append(
-                Snapshot(
-                    self.snapshot_start(index), self.window_days, ips_col, hits_col
-                )
-            )
+        try:
+            for index in range(self.num_snapshots):
+                snapshots.append(self._snapshot(index, mmap=mmap))
+        finally:
+            # Readers are released per snapshot range inside the loop;
+            # this catches a mid-stream error.
+            self.close()
         return ActivityDataset(snapshots)
 
+    def _snapshot(self, index: int, *, mmap: bool) -> Snapshot:
+        segments = self.segments_of(index)
+        ips_parts: list[NDArray[Any]] = []
+        hits_parts: list[NDArray[Any]] = []
+        for segment in segments:
+            ips, hits = segment.columns(index, mmap=mmap)
+            if ips.size:
+                ips_parts.append(ips)
+                hits_parts.append(hits)
+        if segments and index + 1 == segments[0].info.snapshot_stop:
+            # The snapshot range is done: release its handles, so a
+            # live store holds one commit's segments open, not all.
+            for segment in segments:
+                segment.close()
+        if ips_parts:
+            # Materializing is this method's contract:
+            ips_col: NDArray[Any] = np.concatenate(ips_parts)  # whole matrix wanted
+            hits_col: NDArray[Any] = np.concatenate(hits_parts)  # whole matrix wanted
+        else:
+            ips_col = np.empty(0, dtype=np.uint32)
+            hits_col = np.empty(0, dtype=np.uint64)
+        return Snapshot(self.snapshot_start(index), self.window_days, ips_col, hits_col)
+
     def digest(self) -> str:
-        """Recompute the dataset SHA-256 by streaming over the shards."""
-        return _streamed_digest(
-            self.shards, self.start, self.window_days, self.num_snapshots
+        """The dataset SHA-256, computed segment-at-a-time in bounded memory.
+
+        Byte-for-byte the same stream as
+        :func:`repro.obs.manifest.dataset_digest` hashes for the
+        in-memory dataset: the header line, then per snapshot, per
+        column kind, the dtype/size prefix followed by the column
+        bytes.  A snapshot's column is split across its segments in
+        ascending address order, so feeding each segment's member bytes
+        in order reproduces the concatenated column exactly — holding
+        only one member in memory at a time.
+        """
+        digest = hashlib.sha256()
+        digest.update(
+            f"v1|{self.start.toordinal()}|{self.window_days}|"
+            f"{self.num_snapshots}".encode()
         )
+        try:
+            for index in range(self.num_snapshots):
+                segments = self.segments_of(index)
+                members = [
+                    (segment, index - segment.info.snapshot_start)
+                    for segment in segments
+                ]
+                total = sum(
+                    segment.snapshot_sizes()[local] for segment, local in members
+                )
+                for member_prefix, expected_dtype in (("ips", "<u4"), ("hits", "<u8")):
+                    digest.update(f"|{expected_dtype}|{total}|".encode())
+                    for segment, local in members:
+                        column = segment.reader().array(f"{member_prefix}_{local}")
+                        if column.dtype.str != expected_dtype:
+                            raise DatasetError(
+                                f"bad column dtype in shard {segment.path}: "
+                                f"{member_prefix}_{local} is {column.dtype.str}, "
+                                f"expected {expected_dtype}"
+                            )
+                        digest.update(column.data)
+                if segments and index + 1 == segments[0].info.snapshot_stop:
+                    # The snapshot range is done: release its handles.
+                    for segment in segments:
+                        segment.close()
+        finally:
+            # Release every reader even on a mid-stream error (the
+            # segments reopen lazily).
+            for segment in self.segments:
+                segment.close()
+        return digest.hexdigest()
 
     def verify(self) -> None:
-        """Re-hash every shard file against its manifest fingerprint."""
-        for shard in self.shards:
-            digest = hashlib.sha256()
-            nbytes = 0
+        """Re-hash every segment file against its manifest fingerprint."""
+        for segment in self.segments:
             try:
-                with open(shard.path, "rb") as stream:
-                    while True:
-                        chunk = stream.read(1 << 20)
-                        if not chunk:
-                            break
-                        digest.update(chunk)
-                        nbytes += len(chunk)
+                sha256, nbytes = _file_sha256(segment.path)
             except FileNotFoundError as exc:
                 raise DatasetError(
-                    f"missing store shard file: {shard.path}"
+                    f"missing store shard file: {segment.path}"
                 ) from exc
-            if nbytes != shard.info.nbytes or digest.hexdigest() != shard.info.sha256:
+            if nbytes != segment.info.nbytes or sha256 != segment.info.sha256:
                 raise DatasetError(
-                    f"store shard fingerprint mismatch: {shard.path} does not "
+                    f"store shard fingerprint mismatch: {segment.path} does not "
                     f"match the manifest at {store_manifest_path(self.root)}"
                 )
 
+    def manifest_text(self) -> str:
+        """The manifest JSON describing this store."""
+        segmented = any(s.info.generation is not None for s in self.segments)
+        payload = {
+            "schema": SEGMENTED_FORMAT_VERSION if segmented else STORE_FORMAT_VERSION,
+            "start_ordinal": self.start.toordinal(),
+            "window_days": self.window_days,
+            "num_snapshots": self.num_snapshots,
+            "shard_blocks": self.shard_blocks,
+            "num_blocks": self.num_blocks,
+            "dataset_sha256": self.dataset_sha256,
+            "shards": [segment.info.as_dict() for segment in self.segments],
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
+        for segment in self.segments:
+            segment.close()
 
     def __enter__(self) -> "DatasetStore":
         return self
@@ -764,76 +999,27 @@ class DatasetStore:
             raise DatasetError(
                 f"malformed store manifest: {manifest_file} ({exc})"
             ) from exc
-        if schema != STORE_FORMAT_VERSION:
+        if schema not in (STORE_FORMAT_VERSION, SEGMENTED_FORMAT_VERSION):
             raise DatasetError(
                 f"unsupported store manifest schema in {manifest_file}: {schema}"
             )
         if window_days < 1 or num_snapshots < 1 or shard_blocks < 1:
             raise DatasetError(f"malformed store manifest: {manifest_file}")
-        infos = [ShardInfo.from_dict(entry) for entry in shard_entries]
-        next_block = 0
-        next_base = 0
-        for info in infos:
-            if info.name != shard_file_name(info.block_start, info.block_stop):
-                raise DatasetError(
-                    f"store manifest at {manifest_file} names shard "
-                    f"{info.name!r} for block range "
-                    f"[{info.block_start}, {info.block_stop})"
-                )
-            if info.block_start != next_block or info.block_stop <= info.block_start:
-                raise DatasetError(
-                    f"store shards do not tile the block range: {info.name} "
-                    f"starts at block {info.block_start}, expected {next_block}"
-                )
-            if (
-                info.base_lo % _BLOCK_SPAN
-                or info.base_hi % _BLOCK_SPAN
-                or info.base_lo < next_base
-                or info.base_hi - info.base_lo < info.num_blocks * _BLOCK_SPAN
-                or info.base_hi > 2**32
-            ):
-                raise DatasetError(
-                    f"store shard {info.name} has a malformed address range "
-                    f"[{info.base_lo:#010x}, {info.base_hi:#010x})"
-                )
-            next_block = info.block_stop
-            next_base = info.base_hi
-        if next_block != num_blocks:
-            raise DatasetError(
-                f"store manifest at {manifest_file} declares {num_blocks} "
-                f"blocks but its shards cover {next_block}"
+        segmented = schema == SEGMENTED_FORMAT_VERSION
+        infos = [
+            ShardInfo.from_dict(
+                entry, segmented=segmented, num_snapshots=num_snapshots
             )
-        shards = [StoreShard(root, info) for info in infos]
-        expected = StoreHeader(start, window_days, num_snapshots)
-        reference: StoreShard | None = None
-        for shard in shards:
-            header = shard.header()
-            if reference is None:
-                reference = shard
-                if header != expected:
-                    raise DatasetError(
-                        f"store manifest at {manifest_file} declares "
-                        f"{expected.describe()} but shard {shard.path} "
-                        f"covers {header.describe()}"
-                    )
-            elif header != reference.header():
-                raise DatasetError(
-                    f"day-range mismatch between shards: {reference.path} "
-                    f"covers {reference.header().describe()} but "
-                    f"{shard.path} covers {header.describe()}"
-                )
-            block_range, base_range = shard.ranges()
-            if block_range != (shard.info.block_start, shard.info.block_stop) or (
-                base_range != (shard.info.base_lo, shard.info.base_hi)
-            ):
-                raise DatasetError(
-                    f"store shard {shard.path} records ranges "
-                    f"{block_range}/{base_range} but the manifest at "
-                    f"{manifest_file} declares "
-                    f"({shard.info.block_start}, {shard.info.block_stop})/"
-                    f"({shard.info.base_lo}, {shard.info.base_hi})"
-                )
-        return cls(
+            for entry in shard_entries
+        ]
+        _check_segment_table(
+            infos,
+            manifest_file,
+            num_snapshots=num_snapshots,
+            num_blocks=num_blocks,
+            segmented=segmented,
+        )
+        store = cls(
             root,
             start=start,
             window_days=window_days,
@@ -841,19 +1027,265 @@ class DatasetStore:
             shard_blocks=shard_blocks,
             num_blocks=num_blocks,
             dataset_sha256=dataset_sha256,
-            shards=shards,
+            segments=[StoreShard(root, info) for info in infos],
+        )
+        header = store.header
+        for run in store._runs:
+            expected = header.segment(run.start, run.stop)
+            reference = run.segments[0]
+            for segment in run.segments:
+                # Validate, then release: a live store has thousands of
+                # segments, and a failure must not leak the ones before.
+                try:
+                    _check_segment(segment, reference, expected, manifest_file)
+                finally:
+                    segment.close()
+        return store
+
+
+def _check_segment_table(
+    infos: Sequence[ShardInfo],
+    manifest_file: str,
+    *,
+    num_snapshots: int,
+    num_blocks: int,
+    segmented: bool,
+) -> None:
+    """Validate the manifest rows' ranges (no file is read)."""
+    next_snapshot = 0
+    span: tuple[int, int] | None = None
+    next_block = next_base = 0
+    run_blocks: list[int] = []
+    for info in infos:
+        if (info.snapshot_start, info.snapshot_stop) != span:
+            if (
+                info.snapshot_start < next_snapshot
+                or info.snapshot_stop <= info.snapshot_start
+                or info.snapshot_stop > num_snapshots
+            ):
+                raise DatasetError(
+                    f"store manifest at {manifest_file} lists segment "
+                    f"{info.name} for snapshots [{info.snapshot_start}, "
+                    f"{info.snapshot_stop}) out of order"
+                )
+            if span is not None:
+                run_blocks.append(next_block)
+            span = (info.snapshot_start, info.snapshot_stop)
+            next_snapshot = info.snapshot_stop
+            next_block = next_base = 0
+        if info.name != shard_file_name(info.block_start, info.block_stop):
+            raise DatasetError(
+                f"store manifest at {manifest_file} names shard "
+                f"{info.name!r} for block range "
+                f"[{info.block_start}, {info.block_stop})"
+            )
+        if segmented and (info.generation is None or info.generation < 1):
+            raise DatasetError(
+                f"store manifest at {manifest_file} places segment "
+                f"{info.name} in generation {info.generation}"
+            )
+        if info.block_start != next_block or info.block_stop <= info.block_start:
+            raise DatasetError(
+                f"store shards do not tile the block range: {info.name} "
+                f"starts at block {info.block_start}, expected {next_block}"
+            )
+        if (
+            info.base_lo % _BLOCK_SPAN
+            or info.base_hi % _BLOCK_SPAN
+            or info.base_lo < next_base
+            or info.base_hi - info.base_lo < info.num_blocks * _BLOCK_SPAN
+            or info.base_hi > 2**32
+        ):
+            raise DatasetError(
+                f"store shard {info.name} has a malformed address range "
+                f"[{info.base_lo:#010x}, {info.base_hi:#010x})"
+            )
+        next_block = info.block_stop
+        next_base = info.base_hi
+    run_blocks.append(next_block)
+    covered = max(run_blocks)
+    if covered > num_blocks or (not segmented and covered != num_blocks):
+        raise DatasetError(
+            f"store manifest at {manifest_file} declares {num_blocks} "
+            f"blocks but its shards cover {covered}"
         )
 
 
+def _check_segment(
+    segment: StoreShard,
+    reference: StoreShard,
+    expected: StoreHeader,
+    manifest_file: str,
+) -> None:
+    """Validate one segment's header and range members against the manifest."""
+    header = segment.header()
+    if segment is reference:
+        if header != expected:
+            raise DatasetError(
+                f"store manifest at {manifest_file} declares "
+                f"{expected.describe()} but shard {segment.path} "
+                f"covers {header.describe()}"
+            )
+    elif header != reference.header():
+        raise DatasetError(
+            f"day-range mismatch between shards: {reference.path} "
+            f"covers {reference.header().describe()} but "
+            f"{segment.path} covers {header.describe()}"
+        )
+    info = segment.info
+    block_range, base_range = segment.ranges()
+    if block_range != (info.block_start, info.block_stop) or (
+        base_range != (info.base_lo, info.base_hi)
+    ):
+        raise DatasetError(
+            f"store shard {segment.path} records ranges "
+            f"{block_range}/{base_range} but the manifest at "
+            f"{manifest_file} declares "
+            f"({info.block_start}, {info.block_stop})/"
+            f"({info.base_lo}, {info.base_hi})"
+        )
+
+
+def _file_sha256(path: str) -> tuple[str, int]:
+    """SHA-256 and byte size of the file at *path*, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    nbytes = 0
+    with open(path, "rb") as stream:
+        while True:
+            chunk = stream.read(1 << 20)
+            if not chunk:
+                break
+            digest.update(chunk)
+            nbytes += len(chunk)
+    return digest.hexdigest(), nbytes
+
+
+def _checked_bases(bases: NDArray[Any], min_base: int) -> NDArray[np.int64]:
+    """A segment's /24 *bases*: non-empty, aligned, strictly ascending, >= *min_base*."""
+    base_array = np.asarray(bases, dtype=np.int64)
+    if base_array.ndim != 1 or base_array.size == 0:
+        raise DatasetError("a store shard must cover at least one /24 block")
+    misaligned = base_array[base_array % _BLOCK_SPAN != 0]
+    if misaligned.size:
+        raise DatasetError(
+            f"shard boundary splits a /24: base {int(misaligned[0]):#010x} "
+            "is not 256-aligned"
+        )
+    if base_array.size > 1 and not (base_array[1:] > base_array[:-1]).all():
+        raise DatasetError("shard /24 bases must be strictly ascending")
+    if int(base_array[0]) < min_base:
+        raise DatasetError(
+            "shards must be added in ascending address order: base "
+            f"{int(base_array[0]):#010x} precedes the previous shard's "
+            f"end {min_base:#010x}"
+        )
+    if int(base_array[0]) < 0 or int(base_array[-1]) >= 2**32:
+        raise DatasetError(
+            f"shard /24 base out of the IPv4 range: {int(base_array[-1])}"
+        )
+    return base_array
+
+
+def _write_segment(
+    directory: str,
+    header: StoreHeader,
+    bases: NDArray[Any],
+    columns: Sequence[tuple[NDArray[Any], NDArray[Any]]],
+    *,
+    block_start: int,
+    min_base: int,
+    snapshot_start: int,
+    generation: int | None,
+) -> StoreShard:
+    """Validate one segment, write it atomically, and fingerprint it.
+
+    The one write path of both :class:`StoreWriter` and
+    :class:`StoreAppender`.  *header* is the segment's own day header
+    (its first snapshot, its snapshot count); *columns* holds one
+    ``(ips, hits)`` pair per covered snapshot, restricted to the /24
+    *bases*.  Raises :class:`DatasetError` on any violation — including
+    a boundary that would split a /24.  The returned segment carries
+    its header and sizes, so no reader re-parses what was just written.
+    """
+    base_array = _checked_bases(bases, min_base)
+    if len(columns) != header.num_snapshots:
+        raise DatasetError(
+            f"shard has {len(columns)} columns for "
+            f"{header.num_snapshots} snapshots"
+        )
+    base_lo = int(base_array[0])
+    base_hi = int(base_array[-1]) + _BLOCK_SPAN
+    block_stop = block_start + int(base_array.size)
+    arrays: dict[str, NDArray[Any]] = {
+        "version": np.array([_DATASET_VERSION]),
+        "start": np.array([header.start.toordinal()]),
+        "window_days": np.array([header.window_days]),
+        "num_snapshots": np.array([header.num_snapshots]),
+        "block_range": np.array([block_start, block_stop], dtype=np.int64),
+        "base_range": np.array([base_lo, base_hi], dtype=np.int64),
+    }
+    sizes: list[int] = []
+    for local, (ips, hits) in enumerate(columns):
+        index = snapshot_start + local
+        ips_col = np.ascontiguousarray(ips, dtype=np.uint32)
+        hits_col = np.ascontiguousarray(hits, dtype=np.uint64)
+        if ips_col.ndim != 1 or hits_col.shape != ips_col.shape:
+            raise DatasetError(
+                f"snapshot {index} column shape mismatch in shard "
+                f"[{block_start}, {block_stop})"
+            )
+        if ips_col.size:
+            if ips_col.size > 1 and not (ips_col[1:] > ips_col[:-1]).all():
+                raise DatasetError(
+                    f"snapshot {index} addresses are not strictly "
+                    f"ascending in shard [{block_start}, {block_stop})"
+                )
+            if int(ips_col[0]) < base_lo or int(ips_col[-1]) >= base_hi:
+                raise DatasetError(
+                    f"snapshot {index} has addresses outside shard range "
+                    f"[{base_lo:#010x}, {base_hi:#010x})"
+                )
+            blocks = (ips_col & np.uint32(0xFFFFFF00)).astype(np.int64)
+            positions = np.searchsorted(base_array, blocks)
+            if not (base_array[positions] == blocks).all():
+                raise DatasetError(
+                    f"snapshot {index} has addresses in a /24 outside "
+                    f"this shard's block set"
+                )
+            if int(hits_col.min()) == 0:
+                raise DatasetError("active addresses must have at least one hit")
+        arrays[f"ips_{local}"] = ips_col
+        arrays[f"hits_{local}"] = hits_col
+        sizes.append(int(ips_col.size))
+    name = shard_file_name(block_start, block_stop)
+    path = os.path.join(directory, name)
+    atomic_write_npz(path, arrays, compress=False)
+    sha256, nbytes = _file_sha256(path)
+    info = ShardInfo(
+        name=name,
+        block_start=block_start,
+        block_stop=block_stop,
+        base_lo=base_lo,
+        base_hi=base_hi,
+        sha256=sha256,
+        nbytes=nbytes,
+        snapshot_start=snapshot_start,
+        snapshot_stop=snapshot_start + header.num_snapshots,
+        generation=generation,
+    )
+    obs.add("store_shards_written_total")
+    return StoreShard(directory, info, header=header, sizes=sizes)
+
+
 class StoreWriter:
-    """Incremental, constant-memory store writer.
+    """Incremental, constant-memory batch store writer.
 
     Shards are added one at a time in ascending /24 base order; each
-    :meth:`add_shard` validates its columns and writes one raw-member
-    ``.npz`` atomically.  :meth:`finalize` computes the streaming
-    dataset digest and writes the manifest — which is deleted up front,
-    so a crash mid-build leaves "no store here" rather than a manifest
-    pointing at half-rewritten shards.
+    :meth:`add_shard` writes one segment covering every snapshot.
+    :meth:`finalize` computes the streaming dataset digest and writes
+    the manifest — which is deleted up front, so a crash mid-build
+    leaves "no store here" rather than a manifest pointing at
+    half-rewritten shards.
     """
 
     def __init__(
@@ -876,11 +1308,9 @@ class StoreWriter:
         manifest_file = store_manifest_path(self._root)
         if os.path.exists(manifest_file):
             os.unlink(manifest_file)
-        self._start = start
-        self._window_days = window_days
-        self._num_snapshots = num_snapshots
+        self._header = StoreHeader(start, window_days, num_snapshots)
         self._shard_blocks = shard_blocks
-        self._infos: list[ShardInfo] = []
+        self._segments: list[StoreShard] = []
         self._next_block = 0
         self._next_base = 0
         self._finalized = False
@@ -904,139 +1334,40 @@ class StoreWriter:
         """
         if self._finalized:
             raise DatasetError("store already finalized")
-        base_array = np.asarray(bases, dtype=np.int64)
-        if base_array.ndim != 1 or base_array.size == 0:
-            raise DatasetError("a store shard must cover at least one /24 block")
-        misaligned = base_array[base_array % _BLOCK_SPAN != 0]
-        if misaligned.size:
-            raise DatasetError(
-                f"shard boundary splits a /24: base {int(misaligned[0]):#010x} "
-                "is not 256-aligned"
-            )
-        if base_array.size > 1 and not (base_array[1:] > base_array[:-1]).all():
-            raise DatasetError("shard /24 bases must be strictly ascending")
-        if int(base_array[0]) < self._next_base:
-            raise DatasetError(
-                "shards must be added in ascending address order: base "
-                f"{int(base_array[0]):#010x} precedes the previous shard's "
-                f"end {self._next_base:#010x}"
-            )
-        if int(base_array[0]) < 0 or int(base_array[-1]) >= 2**32:
-            raise DatasetError(
-                f"shard /24 base out of the IPv4 range: {int(base_array[-1])}"
-            )
-        if len(columns) != self._num_snapshots:
-            raise DatasetError(
-                f"shard has {len(columns)} columns for "
-                f"{self._num_snapshots} snapshots"
-            )
-        base_lo = int(base_array[0])
-        base_hi = int(base_array[-1]) + _BLOCK_SPAN
-        block_start = self._next_block
-        block_stop = block_start + int(base_array.size)
-        arrays: dict[str, NDArray[Any]] = {
-            "version": np.array([_DATASET_VERSION]),
-            "start": np.array([self._start.toordinal()]),
-            "window_days": np.array([self._window_days]),
-            "num_snapshots": np.array([self._num_snapshots]),
-            "block_range": np.array([block_start, block_stop], dtype=np.int64),
-            "base_range": np.array([base_lo, base_hi], dtype=np.int64),
-        }
-        for index, (ips, hits) in enumerate(columns):
-            ips_col = np.ascontiguousarray(ips, dtype=np.uint32)
-            hits_col = np.ascontiguousarray(hits, dtype=np.uint64)
-            if ips_col.ndim != 1 or hits_col.shape != ips_col.shape:
-                raise DatasetError(
-                    f"snapshot {index} column shape mismatch in shard "
-                    f"[{block_start}, {block_stop})"
-                )
-            if ips_col.size:
-                if ips_col.size > 1 and not (ips_col[1:] > ips_col[:-1]).all():
-                    raise DatasetError(
-                        f"snapshot {index} addresses are not strictly "
-                        f"ascending in shard [{block_start}, {block_stop})"
-                    )
-                if int(ips_col[0]) < base_lo or int(ips_col[-1]) >= base_hi:
-                    raise DatasetError(
-                        f"snapshot {index} has addresses outside shard range "
-                        f"[{base_lo:#010x}, {base_hi:#010x})"
-                    )
-                blocks = (ips_col & np.uint32(0xFFFFFF00)).astype(np.int64)
-                positions = np.searchsorted(base_array, blocks)
-                if not (base_array[positions] == blocks).all():
-                    raise DatasetError(
-                        f"snapshot {index} has addresses in a /24 outside "
-                        f"this shard's block set"
-                    )
-                if int(hits_col.min()) == 0:
-                    raise DatasetError(
-                        "active addresses must have at least one hit"
-                    )
-            arrays[f"ips_{index}"] = ips_col
-            arrays[f"hits_{index}"] = hits_col
-        name = shard_file_name(block_start, block_stop)
-        path = os.path.join(self._root, name)
-        atomic_write_npz(path, arrays, compress=False)
-        digest = hashlib.sha256()
-        nbytes = 0
-        with open(path, "rb") as stream:
-            while True:
-                chunk = stream.read(1 << 20)
-                if not chunk:
-                    break
-                digest.update(chunk)
-                nbytes += len(chunk)
-        info = ShardInfo(
-            name=name,
-            block_start=block_start,
-            block_stop=block_stop,
-            base_lo=base_lo,
-            base_hi=base_hi,
-            sha256=digest.hexdigest(),
-            nbytes=nbytes,
+        segment = _write_segment(
+            self._root,
+            self._header,
+            bases,
+            columns,
+            block_start=self._next_block,
+            min_base=self._next_base,
+            snapshot_start=0,
+            generation=None,
         )
-        self._infos.append(info)
-        self._next_block = block_stop
-        self._next_base = base_hi
-        obs.add("store_shards_written_total")
-        return info
+        self._segments.append(segment)
+        self._next_block = segment.info.block_stop
+        self._next_base = segment.info.base_hi
+        return segment.info
 
     def finalize(self) -> DatasetStore:
         """Digest the shards, write the manifest, return the open store."""
         if self._finalized:
             raise DatasetError("store already finalized")
         self._finalized = True
-        shards = [StoreShard(self._root, info) for info in self._infos]
-        dataset_sha256 = _streamed_digest(
-            shards, self._start, self._window_days, self._num_snapshots
-        )
-        payload = {
-            "schema": STORE_FORMAT_VERSION,
-            "start_ordinal": self._start.toordinal(),
-            "window_days": self._window_days,
-            "num_snapshots": self._num_snapshots,
-            "shard_blocks": self._shard_blocks,
-            "num_blocks": self._next_block,
-            "dataset_sha256": dataset_sha256,
-            "shards": [info.as_dict() for info in self._infos],
-        }
-        atomic_write_text(
-            store_manifest_path(self._root),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-        for shard in shards:
-            shard.close()
-        obs.add("stores_finalized_total")
-        return DatasetStore(
+        store = DatasetStore(
             self._root,
-            start=self._start,
-            window_days=self._window_days,
-            num_snapshots=self._num_snapshots,
+            start=self._header.start,
+            window_days=self._header.window_days,
+            num_snapshots=self._header.num_snapshots,
             shard_blocks=self._shard_blocks,
             num_blocks=self._next_block,
-            dataset_sha256=dataset_sha256,
-            shards=shards,
+            dataset_sha256="",
+            segments=self._segments,
         )
+        store.dataset_sha256 = store.digest()
+        atomic_write_text(store_manifest_path(self._root), store.manifest_text())
+        obs.add("stores_finalized_total")
+        return store
 
 
 #: Commit-protocol phase names passed to a :class:`StoreAppender` hook.
@@ -1047,24 +1378,35 @@ COMMIT_PHASE_FLIPPED = "pointer-flipped"
 class StoreAppender:
     """Append one snapshot interval at a time to a **live** store.
 
-    A live store root holds generation directories — each a complete,
-    independently valid store — plus a ``live.json`` pointer naming the
-    committed one::
+    A live store root holds one generation directory per commit plus a
+    ``live.json`` pointer naming the committed one::
 
         <root>/
             live.json                # {"schema": 1, "generation": 2}
-            gen_000002/              # the committed 2-snapshot store
-                store.manifest.json
+            gen_000001/              # commit 1: snapshot 0's segments
+                shard_*.npz
+            gen_000002/              # commit 2: snapshot 1's segments
+                store.manifest.json  #   + a manifest listing both commits'
                 shard_*.npz
 
-    :meth:`append` builds generation ``k+1`` beside the committed
-    generation ``k`` (re-slicing the old columns plus the new one into
-    fresh shards), finalizes its manifest, then atomically flips the
-    pointer and garbage-collects the old generation.  The pointer flip
-    is the *only* commit point, so a crash at any instant leaves either
-    generation ``k`` or generation ``k+1`` committed — never a torn
-    store — and a restarted service replays the missed interval into
-    the same (deterministic) bytes.
+    :meth:`append` for commit ``k+1`` writes, in this order:
+
+    1. the new column as immutable segments of at most ``shard_blocks``
+       /24s each, into ``gen_<k+1>/`` (validated, fsynced, atomically
+       renamed, fingerprinted);
+    2. ``gen_<k+1>/store.manifest.json`` listing every live segment,
+       with the streamed dataset SHA-256 (the one step that reads old
+       segments);
+    3. the ``live.json`` pointer, atomically — the *only* commit point;
+    4. the deletion of ``gen_<k>/store.manifest.json``, which the new
+       manifest supersedes (a restart redoes it after a crash here).
+
+    No committed segment is rewritten or deleted, and old segments are
+    never reopened for validation: the appender extends its in-memory
+    segment table.  A crash at any instant leaves generation ``k`` or
+    ``k+1`` committed — never a torn store — and a restarted service
+    replays the missed interval into the same (deterministic) bytes,
+    atomically overwriting any uncommitted ``gen_<k+1>/`` files.
 
     The optional *commit_hook* is called with
     :data:`COMMIT_PHASE_FINALIZED` after the new generation's manifest
@@ -1097,31 +1439,43 @@ class StoreAppender:
         self._shard_blocks = shard_blocks
         self._commit_hook = commit_hook
         self._store: DatasetStore | None = None
+        self._bases: NDArray[np.int64] = np.empty(0, dtype=np.int64)
         generation = read_live_pointer(self._root)
         self._committed = 0 if generation is None else generation
         if generation is not None:
             store = DatasetStore.open(
                 os.path.join(self._root, generation_dir_name(generation))
             )
-            if store.num_snapshots != generation:
-                raise DatasetError(
-                    f"live store at {self._root} points at generation "
-                    f"{generation} holding {store.num_snapshots} snapshots"
-                )
-            if (
-                store.start != start
-                or store.window_days != window_days
-                or store.shard_blocks != shard_blocks
-            ):
-                raise DatasetError(
-                    f"live store at {self._root} was built with "
-                    f"start={store.start.isoformat()} "
-                    f"window_days={store.window_days} "
-                    f"shard_blocks={store.shard_blocks}; refusing to append "
-                    f"with start={start.isoformat()} "
-                    f"window_days={window_days} shard_blocks={shard_blocks}"
-                )
+            try:
+                self._check_resumable(store, generation)
+                self._bases = store.active_block_bases()
+            except BaseException:
+                store.close()
+                raise
             self._store = store
+            # A crash between a pointer flip and the drop leaves one.
+            self._drop_superseded_manifest(generation)
+
+    def _check_resumable(self, store: DatasetStore, generation: int) -> None:
+        if store.num_snapshots != generation:
+            raise DatasetError(
+                f"live store at {self._root} points at generation "
+                f"{generation} holding {store.num_snapshots} snapshots"
+            )
+        if (
+            store.start != self._start
+            or store.window_days != self._window_days
+            or store.shard_blocks != self._shard_blocks
+        ):
+            raise DatasetError(
+                f"live store at {self._root} was built with "
+                f"start={store.start.isoformat()} "
+                f"window_days={store.window_days} "
+                f"shard_blocks={store.shard_blocks}; refusing to append "
+                f"with start={self._start.isoformat()} "
+                f"window_days={self._window_days} "
+                f"shard_blocks={self._shard_blocks}"
+            )
 
     @property
     def root(self) -> str:
@@ -1137,14 +1491,35 @@ class StoreAppender:
         """The committed generation's store, or ``None`` before any commit."""
         return self._store
 
+    def _drop_superseded_manifest(self, generation: int) -> None:
+        """Delete ``gen_<generation-1>``'s manifest once *generation* is live.
+
+        It lists a prefix of the live manifest's segments and the
+        pointer no longer names it; kept, every commit's manifest would
+        pile up into disk quadratic in history.  Its segments stay —
+        they are live data.
+        """
+        if generation < 2:
+            return
+        superseded = store_manifest_path(
+            os.path.join(self._root, generation_dir_name(generation - 1))
+        )
+        try:
+            os.unlink(superseded)
+        except FileNotFoundError:
+            pass
+
     def _signal(self, phase: str) -> None:
         if self._commit_hook is not None:
             self._commit_hook(phase)
 
-    @staticmethod
-    def _validated_column(
-        ips: NDArray[Any], hits: NDArray[Any]
-    ) -> tuple[NDArray[Any], NDArray[Any]]:
+    def append(self, ips: NDArray[Any], hits: NDArray[Any]) -> DatasetStore:
+        """Commit snapshot ``committed + 1`` and return the new store.
+
+        *ips*/*hits* are one interval's sorted sparse columns (the
+        shapes every snapshot carries).  The commit is crash-safe:
+        segments, then the manifest, then the pointer.
+        """
         ips_col = np.ascontiguousarray(ips, dtype=np.uint32)
         hits_col = np.ascontiguousarray(hits, dtype=np.uint64)
         if ips_col.ndim != 1 or hits_col.shape != ips_col.shape:
@@ -1153,53 +1528,53 @@ class StoreAppender:
             raise DatasetError(
                 "appended snapshot addresses are not strictly ascending"
             )
-        return ips_col, hits_col
-
-    def append(self, ips: NDArray[Any], hits: NDArray[Any]) -> DatasetStore:
-        """Commit snapshot ``committed + 1`` and return the new store.
-
-        *ips*/*hits* are one interval's sorted sparse columns (the
-        shapes every snapshot carries).  The commit is crash-safe: the
-        new generation's manifest is written before the pointer flips,
-        and the old generation is removed only after.
-        """
-        ips_col, hits_col = self._validated_column(ips, hits)
-        generation = self._committed + 1
+        index = self._committed
+        generation = index + 1
         gen_dir = os.path.join(self._root, generation_dir_name(generation))
-        if os.path.isdir(gen_dir):
-            # A crash between finalize and pointer flip leaves a complete
-            # but uncommitted generation; rebuilding it from scratch is
-            # deterministic, so replay converges on identical bytes.
-            shutil.rmtree(gen_dir)  # reprolint: disable=P602 -- removes only the *uncommitted* next generation, which no pointer has ever named; the committed generation is untouched (covered by the commit-phase fault-injection tests)
-        prev = self._store
-        if prev is None:
-            prev_bases = np.empty(0, dtype=np.int64)
-        else:
-            prev_bases = prev.active_block_bases()
-        new_bases = np.unique(
-            (ips_col & np.uint32(0xFFFFFF00)).astype(np.int64)
+        # A crash before the pointer flip leaves an uncommitted gen_dir;
+        # the deterministic retry atomically overwrites its files.
+        os.makedirs(gen_dir, exist_ok=True)
+        segment_header = StoreHeader(
+            self._start, self._window_days, generation
+        ).segment(index, generation)
+        new_bases = np.unique(ips_col & np.uint32(0xFFFFFF00)).astype(np.int64)
+        segments: list[StoreShard] = (
+            [] if self._store is None else list(self._store.segments)
         )
-        union = np.union1d(prev_bases, new_bases)
-        writer = StoreWriter(
+        for offset in range(0, int(new_bases.size), self._shard_blocks):
+            chunk = new_bases[offset : offset + self._shard_blocks]
+            left = int(np.searchsorted(ips_col, int(chunk[0])))
+            # Inclusive top address: the exclusive bound overflows uint32.
+            right = int(
+                np.searchsorted(
+                    ips_col, int(chunk[-1]) + _BLOCK_SPAN - 1, side="right"
+                )
+            )
+            segments.append(
+                _write_segment(
+                    gen_dir,
+                    segment_header,
+                    chunk,
+                    [(ips_col[left:right], hits_col[left:right])],
+                    block_start=offset,
+                    min_base=0,
+                    snapshot_start=index,
+                    generation=generation,
+                )
+            )
+        bases = np.union1d(self._bases, new_bases)
+        store = DatasetStore(
             gen_dir,
             start=self._start,
             window_days=self._window_days,
             num_snapshots=generation,
             shard_blocks=self._shard_blocks,
+            num_blocks=int(bases.size),
+            dataset_sha256="",
+            segments=segments,
         )
-        for offset in range(0, int(union.size), self._shard_blocks):
-            chunk = union[offset : offset + self._shard_blocks]
-            lo = int(chunk[0])
-            hi = int(chunk[-1]) + _BLOCK_SPAN - 1  # inclusive top address
-            columns: list[tuple[NDArray[Any], NDArray[Any]]] = []
-            for index in range(self._committed):
-                assert prev is not None
-                columns.append(prev.column_slice(index, lo, hi))
-            left = int(np.searchsorted(ips_col, lo))
-            right = int(np.searchsorted(ips_col, hi, side="right"))
-            columns.append((ips_col[left:right], hits_col[left:right]))
-            writer.add_shard(chunk, columns)
-        store = writer.finalize()
+        store.dataset_sha256 = store.digest()
+        atomic_write_text(store_manifest_path(gen_dir), store.manifest_text())
         self._signal(COMMIT_PHASE_FINALIZED)
         atomic_write_text(
             live_pointer_path(self._root),
@@ -1209,14 +1584,10 @@ class StoreAppender:
             )
             + "\n",
         )
+        self._drop_superseded_manifest(generation)
         self._signal(COMMIT_PHASE_FLIPPED)
-        if prev is not None:
-            prev.close()
-        for entry in os.listdir(self._root):
-            match = _GENERATION_PATTERN.match(entry)
-            if match is not None and int(match.group(1)) != generation:
-                shutil.rmtree(os.path.join(self._root, entry), ignore_errors=True)
         self._store = store
+        self._bases = bases
         self._committed = generation
         obs.add("store_appends_total")
         return store

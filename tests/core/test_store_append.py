@@ -1,10 +1,10 @@
 """Tests for the live-store append path (StoreAppender + generations).
 
-Pins the crash-safety contract: a generation is a complete store,
-``live.json`` flips to it only after its manifest lands (manifest-last
-within a generation, pointer-last across generations), and a crash at
-any phase leaves a state from which deterministic replay rebuilds the
-identical bytes.
+Pins the crash-safety contract: commit k writes its segments, then a
+manifest listing every live segment, then flips ``live.json`` to k;
+a crash at either named phase leaves a state from which deterministic
+replay rebuilds the identical bytes.  ``test_store_segments`` fails
+every durability point of an append, not only the named phases.
 """
 
 import datetime
@@ -25,6 +25,7 @@ from repro.core.store import (
     live_pointer_path,
     read_live_pointer,
     resolve_store_root,
+    store_manifest_path,
 )
 from repro.errors import DatasetError
 from tests.core.test_store import make_dataset
@@ -82,14 +83,29 @@ class TestAppend:
                 assert np.array_equal(expected.ips, got.ips)
                 assert np.array_equal(expected.hits, got.hits)
 
-    def test_old_generations_are_collected(self, tmp_path):
+    def test_only_live_files_remain(self, tmp_path):
+        # No segment is rewritten or collected, and superseded manifests
+        # are dropped: every file under the root is a segment the
+        # committed manifest lists, that manifest, or the pointer.
         dataset = make_dataset()
         root = tmp_path / "live"
-        append_all(root, dataset)
+        append_all(root, dataset, shard_blocks=1)
+        with open_store(root) as store:
+            live = {os.path.realpath(segment.path) for segment in store.segments}
+        allowed = {
+            os.path.realpath(store_manifest_path(resolve_store_root(root))),
+            os.path.realpath(live_pointer_path(root)),
+        }
+        for directory, _dirs, files in os.walk(root):
+            for name in files:
+                path = os.path.realpath(os.path.join(directory, name))
+                assert path in live or path in allowed, f"stray file {path}"
         generations = sorted(
             name for name in os.listdir(root) if name.startswith("gen_")
         )
-        assert generations == [generation_dir_name(len(dataset))]
+        assert generations == [
+            generation_dir_name(k) for k in range(1, len(dataset) + 1)
+        ]
 
     def test_new_blocks_between_appends(self, tmp_path):
         # The second interval activates a /24 far below every block of
@@ -191,7 +207,7 @@ class TestCrashProtocol:
 
     def test_crash_after_flip_before_gc(self, tmp_path):
         # Pointer flipped: the interval IS committed even though the
-        # previous generation was never garbage-collected.
+        # append never returned.
         survived, recovered = self.run_with_crash(
             tmp_path, 2, COMMIT_PHASE_FLIPPED
         )
@@ -216,8 +232,8 @@ class TestCrashProtocol:
                     appender.append(ips, hits)
                 except _Bomb:
                     break
-        # gen_000003 exists and is a complete store, but the pointer
-        # still names gen_000002 — resolution must follow the pointer.
+        # gen_000003 holds a complete manifest, but the pointer still
+        # names gen_000002 — resolution must follow the pointer.
         assert os.path.isdir(root / generation_dir_name(3))
         assert read_live_pointer(root) == 2
         resolved = resolve_store_root(root)

@@ -372,3 +372,42 @@ class TestBenchStoreStream:
         ]}
         passed, message = bench.gate_against(baseline, record, 0.5)
         assert passed and "gate skipped" in message
+
+
+class TestScenarioGolden:
+    """The catalog gate names the numpy versions behind a failing pin."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return _load_tool("scenario_golden")
+
+    def doctored(self, tmp_path, mutate):
+        source = TOOLS_DIR.parent / "examples" / "scenarios" / "baseline.json"
+        raw = json.loads(source.read_text())
+        mutate(raw["expect"])
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(raw, indent=2) + "\n")
+        return str(path)
+
+    def test_every_catalog_entry_records_its_numpy(self):
+        for path in sorted((TOOLS_DIR.parent / "examples" / "scenarios").glob("*.json")):
+            expect = json.loads(path.read_text())["expect"]
+            assert expect["numpy_version"], path
+
+    def test_mismatch_names_recorded_and_running_numpy(self, golden, tmp_path, capsys):
+        import numpy as np
+
+        def mutate(expect):
+            expect["numpy_version"] = "1.0.0"
+            expect["dataset_sha256"] = "0" * 64
+
+        assert golden.main([self.doctored(tmp_path, mutate)]) == 1
+        out = capsys.readouterr().out
+        assert "dataset_sha256: pinned" in out
+        assert f"recorded under numpy 1.0.0, running numpy {np.__version__}" in out
+        assert "NEP 19" in out
+
+    def test_missing_numpy_version_fails(self, golden, tmp_path, capsys):
+        path = self.doctored(tmp_path, lambda expect: expect.pop("numpy_version"))
+        assert golden.main([path]) == 1
+        assert "no recorded numpy_version" in capsys.readouterr().out

@@ -15,6 +15,11 @@ diffs the results against the pins:
   (deterministic injected worker faults) and resumes it from its
   checkpoints, asserting the resumed dataset hashes identically.
 
+Every ``expect`` block records the numpy version it was pinned under:
+NEP 19 does not freeze ``Generator`` distribution streams across numpy
+releases, so a failing entry names the recorded and the running
+versions — a numpy upgrade is then told apart from a code change.
+
 Usage::
 
     python tools/scenario_golden.py                  # verify all pins
@@ -34,6 +39,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
@@ -48,6 +55,9 @@ from repro.sim import (  # noqa: E402
     SimulationConfig,
 )
 from repro.sim.scenario import CatalogEntry, load_catalog_entry  # noqa: E402
+
+#: ``expect`` key recording the numpy version the pins were taken under.
+NUMPY_VERSION_KEY = "numpy_version"
 
 #: Default catalog location.
 CATALOG_DIR = os.path.join(REPO_ROOT, "examples", "scenarios")
@@ -152,6 +162,7 @@ def _update_entry(entry: CatalogEntry, actual: dict) -> None:
     with open(entry.path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     raw["expect"] = {
+        NUMPY_VERSION_KEY: np.__version__,
         "dataset_sha256": actual["dataset_sha256"],
         "signature": actual["signature"],
     }
@@ -205,13 +216,24 @@ def main(argv=None) -> int:
             print(f"updated {path}")
             continue
         problems = []
+        pins = {
+            key: value
+            for key, value in entry.expect.items()
+            if key != NUMPY_VERSION_KEY
+        }
+        recorded = entry.expect.get(NUMPY_VERSION_KEY)
         if not entry.expect:
             problems.append("  no pinned expect block (run --update)")
         else:
-            problems.extend(_diff_lines(entry.expect, {
+            problems.extend(_diff_lines(pins, {
                 "dataset_sha256": actual["dataset_sha256"],
                 "signature": actual["signature"],
             }))
+            if recorded is None:
+                problems.append(
+                    f"  no recorded {NUMPY_VERSION_KEY} in the expect block "
+                    "(run --update under the numpy the pins hold for)"
+                )
         if args.resume_check and (
             actual["resume_dataset_sha256"] != actual["dataset_sha256"]
         ):
@@ -223,6 +245,7 @@ def main(argv=None) -> int:
             "path": path,
             "expected": entry.expect,
             "observed": actual,
+            "numpy_version": {"recorded": recorded, "running": np.__version__},
             "ok": not problems,
         }
         if problems:
@@ -230,6 +253,15 @@ def main(argv=None) -> int:
             print(f"FAIL {entry.scenario.name} ({path})")
             for line in problems:
                 print(line)
+            drift = (
+                "a numpy upgrade can change Generator streams (NEP 19)"
+                if recorded != np.__version__
+                else "same numpy: the code changed"
+            )
+            print(
+                f"  pins recorded under numpy {recorded}, running numpy "
+                f"{np.__version__} ({drift})"
+            )
         else:
             print(f"ok   {entry.scenario.name}")
     if args.artifact and not args.update:
