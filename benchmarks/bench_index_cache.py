@@ -220,7 +220,8 @@ def _naive_pass(dataset, origins, month_ips, icmp, routing):
 def _indexed_pass(dataset, origins, month_ips, icmp, routing):
     results = {}
     results["metrics"] = compute_block_metrics(dataset)
-    results["monthly"] = monthly_stu(dataset)
+    monthly = monthly_stu(dataset)
+    results["monthly"] = (monthly.bases, monthly.stu_matrix)
     results["churn"] = per_as_churn(dataset, origins, window_days=7)
     results["contrib"] = top_contributors(dataset, origins, *_PERIODS)
     stats = hits_by_days_active(dataset)

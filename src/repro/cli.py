@@ -44,7 +44,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core import change, churn, detect, metrics, potential, seasonal, traffic
+from repro.core import change, detect, potential, seasonal, traffic
+from repro.core.analyze import analyze as fold_pass
+from repro.core.dataset import ActivityDataset
 from repro.core.io import (
     load_dataset,
     open_store,
@@ -166,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "dataset",
-        help="path to a .npz dataset, or a store directory (churn and "
-        "metrics then stream shard-by-shard in constant memory)",
+        help="path to a .npz dataset, or a store directory (churn, metrics "
+        "and potential then stream shard-by-shard in one constant-memory pass)",
     )
     analyze.add_argument("--month-days", type=int, default=28)
     analyze.add_argument("--top-fraction", type=float, default=0.10)
@@ -480,8 +482,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_churn(summary) -> None:
-    """Print one churn summary — shared by in-memory and streamed paths."""
+def _analyze_churn(folded, args: argparse.Namespace) -> None:
+    summary = folded.churn()
     rows = [
         ("window", f"{summary.window_days}d"),
         ("up events (min/median/max)",
@@ -494,28 +496,8 @@ def _render_churn(summary) -> None:
     print(render_table(["quantity", "value"], rows, title="Churn"))
 
 
-def _analyze_churn(dataset, args: argparse.Namespace) -> None:
-    if dataset.window_days != 1:
-        summary = churn.ChurnSummary(
-            dataset.window_days, tuple(churn.transition_churn(dataset))
-        )
-    else:
-        summary = churn.daily_churn(dataset)
-    _render_churn(summary)
-
-
-def _analyze_churn_store(store, args: argparse.Namespace) -> None:
-    if store.window_days != 1:
-        summary = churn.ChurnSummary(
-            store.window_days, tuple(churn.transition_churn_streamed(store))
-        )
-    else:
-        summary = churn.daily_churn_streamed(store)
-    _render_churn(summary)
-
-
-def _render_block_metrics(block_metrics) -> None:
-    """Print block metrics — shared by in-memory and streamed paths."""
+def _analyze_metrics(folded, args: argparse.Namespace) -> None:
+    block_metrics = folded.block_metrics()
     fd = block_metrics.filling_degree
     rows = [
         ("active /24 blocks", str(block_metrics.num_blocks)),
@@ -527,14 +509,6 @@ def _render_block_metrics(block_metrics) -> None:
     print(render_table(["quantity", "value"], rows, title="Block metrics"))
 
 
-def _analyze_metrics(dataset, args: argparse.Namespace) -> None:
-    _render_block_metrics(metrics.compute_block_metrics(dataset))
-
-
-def _analyze_metrics_store(store, args: argparse.Namespace) -> None:
-    _render_block_metrics(metrics.compute_block_metrics_streamed(store))
-
-
 def _analyze_change(dataset, args: argparse.Namespace) -> None:
     detection = change.detect_change(dataset, month_days=args.month_days)
     rows = [
@@ -544,9 +518,8 @@ def _analyze_change(dataset, args: argparse.Namespace) -> None:
     print(render_table(["quantity", "value"], rows, title="Change detection"))
 
 
-def _analyze_potential(dataset, args: argparse.Namespace) -> None:
-    block_metrics = metrics.compute_block_metrics(dataset)
-    report = potential.potential_utilization(block_metrics)
+def _analyze_potential(folded, args: argparse.Namespace) -> None:
+    report = potential.potential_utilization(folded.block_metrics())
     rows = [
         ("active /24 blocks", str(report.total_blocks)),
         ("sparse blocks (FD<64)", format_percent(report.low_fd_fraction)),
@@ -613,32 +586,31 @@ _ANALYSES = {
     "weekday": _analyze_weekday,
 }
 
-#: Analyses with a constant-memory streamed implementation over a store.
-_STREAMED_ANALYSES = {
-    "churn": _analyze_churn_store,
-    "metrics": _analyze_metrics_store,
-}
+#: Analyses that are folds (:mod:`repro.core.fold`): they take the
+#: result of one pass over the dataset or store, not the dataset.
+_FOLDED = ("churn", "metrics", "potential")
 
 
-def _analyze_store(store, args: argparse.Namespace) -> None:
-    """Dispatch analyses over an out-of-core store.
+def _analyze(source, args: argparse.Namespace) -> None:
+    """Run the requested analyses over a dataset or an out-of-core store.
 
-    Streamed analyses (churn, metrics) never materialize the dataset;
-    the rest fall back through ``store.to_dataset()``, built at most
-    once even when running "all".
+    The folded analyses (churn, metrics, potential) share one pass
+    over *source*; over a store that pass streams shard by shard and
+    never materializes the dataset.  The rest run on the dataset, built
+    from a store at most once.
     """
-    if args.analysis in _STREAMED_ANALYSES:
-        _STREAMED_ANALYSES[args.analysis](store, args)
-        return
     names = list(_ANALYSES) if args.analysis == "all" else [args.analysis]
-    dataset = None
+    folded = fold_pass(source, churn="churn" in names) if set(names) & set(_FOLDED) else None
+    dataset = source if isinstance(source, ActivityDataset) else None
     for name in names:
-        if name in _STREAMED_ANALYSES:
-            _STREAMED_ANALYSES[name](store, args)
+        if name in _FOLDED:
+            _ANALYSES[name](folded, args)
             continue
         if dataset is None:
-            dataset = store.to_dataset()
+            dataset = source.to_dataset()
         _ANALYSES[name](dataset, args)
+    if args.detect_events:
+        _analyze_events(dataset if dataset is not None else source.to_dataset(), args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -763,18 +735,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with obs_api.activate(ctx):
         if os.path.isdir(args.dataset):
             with open_store(args.dataset) as store:
-                _analyze_store(store, args)
-                if args.detect_events:
-                    _analyze_events(store.to_dataset(), args)
+                _analyze(store, args)
         else:
-            dataset = load_dataset(args.dataset)
-            if args.analysis == "all":
-                for run in _ANALYSES.values():
-                    run(dataset, args)
-            else:
-                _ANALYSES[args.analysis](dataset, args)
-            if args.detect_events:
-                _analyze_events(dataset, args)
+            _analyze(load_dataset(args.dataset), args)
     _export_obs(ctx, args)
     return 0
 

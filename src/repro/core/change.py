@@ -72,14 +72,15 @@ def detect_change(
     a negative change, a lit-up block a positive one); the magnitude is
     compared against *threshold* for the major/minor split.
     """
-    bases, stu = monthly_stu(dataset, month_days)
+    monthly = monthly_stu(dataset, month_days)
+    stu = monthly.stu_matrix
     if stu.shape[1] < 2:
         raise DatasetError("change detection needs at least two months")
     diffs = np.diff(stu, axis=1)
     # Pick, per block, the diff with the largest magnitude (signed).
     arg = np.argmax(np.abs(diffs), axis=1)
     max_change = diffs[np.arange(diffs.shape[0]), arg]
-    return ChangeDetection(bases=bases, max_change=max_change, threshold=threshold)
+    return ChangeDetection(bases=monthly.bases, max_change=max_change, threshold=threshold)
 
 
 def threshold_sensitivity(

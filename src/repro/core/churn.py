@@ -20,11 +20,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
-from repro.core.windows import (
-    PAPER_WINDOW_SIZES,
-    aggregate_to_window,
-    usable_window_sizes,
+from repro.core.fold import (
+    ROW_WORDS,
+    BlockColumn,
+    BlockFold,
+    FoldGroup,
+    Source,
+    popcount,
+    run_folds,
 )
+from repro.core.windows import PAPER_WINDOW_SIZES, usable_window_sizes
 from repro.errors import DatasetError
 from repro.obs import context as obs
 
@@ -98,32 +103,66 @@ class ChurnSummary:
         return float(self._fractions("down_fraction").max())
 
 
+def check_churn_windows(num_snapshots: int) -> None:
+    """Churn is measured between windows: it needs at least two."""
+    if num_snapshots < 2:
+        raise DatasetError("need at least two windows to measure churn")
+
+
+def sweep_sizes(source: Source, window_sizes: Sequence[int] | None) -> list[int]:
+    """The Fig. 4b sizes (default :data:`PAPER_WINDOW_SIZES`) leaving two windows.
+
+    Explicit and default sizes are filtered alike; if none is usable
+    this raises rather than return an empty sweep.
+    """
+    if source.window_days != 1:
+        raise DatasetError("the window-size sweep expects a daily dataset")
+    candidates = list(PAPER_WINDOW_SIZES if window_sizes is None else window_sizes)
+    for size in candidates:
+        if size < 1:
+            raise DatasetError(f"bad window size: {size}")
+    sizes = usable_window_sizes(source, candidates)
+    if not sizes:
+        raise DatasetError(
+            f"no usable window sizes in {candidates}: every size leaves "
+            f"fewer than two windows over {len(source)} days"
+        )
+    return sizes
+
+
+def _transitions(source: Source) -> list[TransitionChurn]:
+    check_churn_windows(len(source))
+    return run_folds(source, IncrementalChurn).transitions()
+
+
 def transition_churn(dataset: ActivityDataset) -> list[TransitionChurn]:
     """Churn for every consecutive window pair of *dataset*."""
-    if len(dataset) < 2:
-        raise DatasetError("need at least two windows to measure churn")
-    out = []
     with obs.span("analyze/churn/transitions"):
-        for before, after in zip(dataset.snapshots, dataset.snapshots[1:]):
-            ups = after.up_from(before)
-            downs = before.down_to(after)
-            out.append(
-                TransitionChurn(
-                    up_count=int(ups.size),
-                    down_count=int(downs.size),
-                    active_before=before.num_active,
-                    active_after=after.num_active,
-                )
-            )
-        obs.add("analyze_churn_transitions_total", len(out))
-    return out
+        return _transitions(dataset)
+
+
+def transition_churn_streamed(store: "DatasetStore") -> list[TransitionChurn]:
+    """:func:`transition_churn` streamed shard-at-a-time over a store."""
+    with obs.span("analyze/churn/transitions_streamed"):
+        return _transitions(store)
+
+
+def _daily(source: Source) -> ChurnSummary:
+    if source.window_days != 1:
+        raise DatasetError("daily churn expects a daily dataset")
+    return ChurnSummary(1, tuple(_transitions(source)))
 
 
 def daily_churn(dataset: ActivityDataset) -> ChurnSummary:
     """Fig. 4a's companion numbers: daily up/down event statistics."""
-    if dataset.window_days != 1:
-        raise DatasetError("daily churn expects a daily dataset")
-    return ChurnSummary(1, tuple(transition_churn(dataset)))
+    with obs.span("analyze/churn/transitions"):
+        return _daily(dataset)
+
+
+def daily_churn_streamed(store: "DatasetStore") -> ChurnSummary:
+    """:func:`daily_churn` streamed shard-at-a-time over a store."""
+    with obs.span("analyze/churn/transitions_streamed"):
+        return _daily(store)
 
 
 def up_down_event_series(dataset: ActivityDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -134,234 +173,98 @@ def up_down_event_series(dataset: ActivityDataset) -> tuple[np.ndarray, np.ndarr
     return ups, downs
 
 
+def _sweep(
+    source: Source, window_sizes: Sequence[int] | None
+) -> dict[int, ChurnSummary]:
+    sizes = sweep_sizes(source, window_sizes)
+    group = run_folds(
+        source, lambda: FoldGroup({size: IncrementalChurn(size) for size in sizes})
+    )
+    return {size: fold.summary(size) for size, fold in group.folds.items()}
+
+
 def churn_by_window_size(
     dataset: ActivityDataset, window_sizes: Sequence[int] | None = None
 ) -> dict[int, ChurnSummary]:
     """The Fig. 4b sweep: churn statistics per aggregation window size.
 
-    For every window size, the daily dataset is partitioned into
-    non-overlapping unions and churn measured between consecutive
-    windows; the caller typically plots min/median/max per size.
-
-    Window sizes that leave fewer than two windows (no transition to
-    measure) are filtered out, whether the sizes came from the default
-    :func:`~repro.core.windows.usable_window_sizes` sweep or were
-    passed explicitly — both paths apply the same rule.  If *no*
-    requested size is usable the sweep raises a clear
-    :class:`~repro.errors.DatasetError` rather than returning an empty
-    dict that downstream statistics would trip over.
+    For every usable size (:func:`sweep_sizes`) churn is measured
+    between consecutive non-overlapping windows, each size one
+    :class:`IncrementalChurn` fed in the same pass.
     """
-    if dataset.window_days != 1:
-        raise DatasetError("the window-size sweep expects a daily dataset")
-    if window_sizes is None:
-        candidates: Sequence[int] = PAPER_WINDOW_SIZES
-    else:
-        candidates = list(window_sizes)
-        for size in candidates:
-            if size < 1:
-                raise DatasetError(f"bad window size: {size}")
-    sizes = usable_window_sizes(dataset, candidates)
-    if not sizes:
-        raise DatasetError(
-            f"no usable window sizes in {list(candidates)}: every size leaves "
-            f"fewer than two windows over {len(dataset)} days"
-        )
-    out: dict[int, ChurnSummary] = {}
-    for size in sizes:
-        windowed = aggregate_to_window(dataset, size)
-        out[size] = ChurnSummary(size, tuple(transition_churn(windowed)))
-    return out
-
-
-def transition_churn_streamed(store: "DatasetStore") -> list[TransitionChurn]:
-    """Churn for every consecutive window pair, streamed over a store.
-
-    Produces exactly ``transition_churn(store.to_dataset())`` — the
-    in-memory function is the reference spec — in constant memory:
-    up/down events between two windows decompose over the store's
-    disjoint address ranges, so each shard folds its counts into the
-    per-transition accumulators while holding only two columns at a
-    time.
-    """
-    if store.num_snapshots < 2:
-        raise DatasetError("need at least two windows to measure churn")
-    num_snapshots = store.num_snapshots
-    with obs.span("analyze/churn/transitions_streamed"):
-        ups = np.zeros(num_snapshots - 1, dtype=np.int64)
-        downs = np.zeros(num_snapshots - 1, dtype=np.int64)
-        active = np.zeros(num_snapshots, dtype=np.int64)
-        for shard in store.shards:
-            # try/finally, not happy-path close: an exception mid-fold
-            # must not leak the shard's open RawNpzReader handle.
-            try:
-                before = shard.columns(0)[0]
-                active[0] += before.size
-                for position in range(1, num_snapshots):
-                    after = shard.columns(position)[0]
-                    active[position] += after.size
-                    ups[position - 1] += np.setdiff1d(
-                        after, before, assume_unique=True
-                    ).size
-                    downs[position - 1] += np.setdiff1d(
-                        before, after, assume_unique=True
-                    ).size
-                    before = after
-            finally:
-                shard.close()
-        out = [
-            TransitionChurn(
-                up_count=int(ups[position]),
-                down_count=int(downs[position]),
-                active_before=int(active[position]),
-                active_after=int(active[position + 1]),
-            )
-            for position in range(num_snapshots - 1)
-        ]
-        obs.add("analyze_churn_transitions_total", len(out))
-    return out
-
-
-def daily_churn_streamed(store: "DatasetStore") -> ChurnSummary:
-    """Streamed equivalent of :func:`daily_churn` over a store."""
-    if store.window_days != 1:
-        raise DatasetError("daily churn expects a daily dataset")
-    return ChurnSummary(1, tuple(transition_churn_streamed(store)))
+    with obs.span("analyze/churn/window_sweep"):
+        return _sweep(dataset, window_sizes)
 
 
 def churn_by_window_size_streamed(
     store: "DatasetStore", window_sizes: Sequence[int] | None = None
 ) -> dict[int, ChurnSummary]:
-    """Streamed equivalent of :func:`churn_by_window_size` over a store.
-
-    Same filtering, truncation, and error contract as the in-memory
-    sweep; per shard, every window size's unions are built from that
-    shard's daily columns (bounded by one shard's data) and the
-    up/down/active counts folded into global accumulators — window
-    unions restricted to disjoint address ranges partition the full
-    window union, so every count matches the reference exactly.
-    """
-    if store.window_days != 1:
-        raise DatasetError("the window-size sweep expects a daily dataset")
-    if window_sizes is None:
-        candidates: Sequence[int] = PAPER_WINDOW_SIZES
-    else:
-        candidates = list(window_sizes)
-        for size in candidates:
-            if size < 1:
-                raise DatasetError(f"bad window size: {size}")
-    num_days = store.num_snapshots
-    sizes = [size for size in candidates if num_days // size >= 2]
-    if not sizes:
-        raise DatasetError(
-            f"no usable window sizes in {list(candidates)}: every size leaves "
-            f"fewer than two windows over {num_days} days"
-        )
-    empty = np.empty(0, dtype=np.uint32)
-    ups: dict[int, np.ndarray] = {}
-    downs: dict[int, np.ndarray] = {}
-    active: dict[int, np.ndarray] = {}
-    for size in sizes:
-        num_windows = num_days // size
-        ups[size] = np.zeros(num_windows - 1, dtype=np.int64)
-        downs[size] = np.zeros(num_windows - 1, dtype=np.int64)
-        active[size] = np.zeros(num_windows, dtype=np.int64)
+    """:func:`churn_by_window_size` streamed shard-at-a-time over a store."""
     with obs.span("analyze/churn/window_sweep_streamed"):
-        for shard in store.shards:
-            # try/finally, not happy-path close: an exception mid-sweep
-            # must not leak the shard's open RawNpzReader handle.
-            try:
-                columns = [
-                    shard.columns(position)[0] for position in range(num_days)
-                ]
-                for size in sizes:
-                    num_windows = num_days // size
-                    previous: np.ndarray | None = None
-                    for window in range(num_windows):
-                        parts = [
-                            column
-                            for column in columns[window * size : (window + 1) * size]
-                            if column.size
-                        ]
-                        if not parts:
-                            union = empty
-                        elif len(parts) == 1:
-                            union = parts[0]
-                        else:
-                            union = np.unique(np.concatenate(parts))  # bounded: one shard
-                        active[size][window] += union.size
-                        if previous is not None:
-                            ups[size][window - 1] += np.setdiff1d(
-                                union, previous, assume_unique=True
-                            ).size
-                            downs[size][window - 1] += np.setdiff1d(
-                                previous, union, assume_unique=True
-                            ).size
-                        previous = union
-            finally:
-                shard.close()
-    out: dict[int, ChurnSummary] = {}
-    for size in sizes:
-        transitions = tuple(
-            TransitionChurn(
-                up_count=int(ups[size][window]),
-                down_count=int(downs[size][window]),
-                active_before=int(active[size][window]),
-                active_after=int(active[size][window + 1]),
-            )
-            for window in range(num_days // size - 1)
-        )
-        out[size] = ChurnSummary(size, transitions)
-    return out
+        return _sweep(store, window_sizes)
 
 
-class IncrementalChurn:
-    """Transition churn maintained one appended window at a time.
+class IncrementalChurn(BlockFold):
+    """Churn at window size *window* as a fold — its one definition.
 
-    The live-observatory service's incremental twin of
-    :func:`transition_churn`: each :meth:`update` folds one new window
-    column against the previously appended one, so a scheduler tick
-    costs two set differences instead of a full re-walk of the store.
-    Columns are sorted unique ``uint32`` arrays (every snapshot's
-    shape), so the same ``np.setdiff1d(..., assume_unique=True)``
-    counts the batch and streamed functions use apply verbatim — the
-    property suite pins :meth:`transitions` equal to the batch
-    reference after every prefix of appended intervals.
+    Per /24 it keeps the presence row of the window being filled (the
+    OR of its columns) and of the last complete one.  A filled window
+    records its active, up (``now & ~before``) and down (``before &
+    ~now``) bit counts; a trailing window that never fills counts for
+    nothing.
     """
 
-    def __init__(self) -> None:
-        self._previous: np.ndarray | None = None
-        self._transitions: list[TransitionChurn] = []
+    def __init__(self, window: int = 1) -> None:
+        if window < 1:
+            raise DatasetError(f"bad window size: {window}")
+        super().__init__(
+            {
+                "filling": np.zeros((0, ROW_WORDS), dtype=np.uint64),
+                "last": np.zeros((0, ROW_WORDS), dtype=np.uint64),
+            }
+        )
+        self._window = window
+        #: ``(active, ups, downs)`` of each complete window.
+        self._counts: list[tuple[int, int, int]] = []
 
-    @property
-    def num_snapshots(self) -> int:
-        return len(self._transitions) + (0 if self._previous is None else 1)
+    def update(self, column: BlockColumn | np.ndarray) -> None:
+        """Fold the next snapshot column (sorted unique ``uint32``) in."""
+        column, rows = self._admit(column)
+        self._rows["filling"][rows] |= column.words
+        if self._num_snapshots % self._window:
+            return
+        now, before = self._rows["filling"], self._rows["last"]
+        self._counts.append(
+            (popcount(now), popcount(now & ~before), popcount(before & ~now))
+        )
+        self._rows["last"] = now
+        self._rows["filling"] = np.zeros_like(now)
 
-    def update(self, ips: np.ndarray) -> None:
-        """Fold one window column (sorted unique ``uint32``) in."""
-        column = np.asarray(ips, dtype=np.uint32)
-        previous = self._previous
-        if previous is not None:
-            self._transitions.append(
-                TransitionChurn(
-                    up_count=int(
-                        np.setdiff1d(column, previous, assume_unique=True).size
-                    ),
-                    down_count=int(
-                        np.setdiff1d(previous, column, assume_unique=True).size
-                    ),
-                    active_before=int(previous.size),
-                    active_after=int(column.size),
-                )
-            )
-        self._previous = column
+    def merge(self, other: "IncrementalChurn") -> None:
+        if other._window != self._window:
+            raise DatasetError("cannot merge churn folds of different windows")
+        super().merge(other)
+        self._counts = [
+            (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            for a, b in zip(self._counts, other._counts)
+        ]
 
     def transitions(self) -> list[TransitionChurn]:
-        """Churn for every consecutive pair folded in so far."""
-        return list(self._transitions)
+        """Churn for every consecutive pair of complete windows so far."""
+        obs.add("analyze_churn_transitions_total", max(len(self._counts) - 1, 0))
+        return [
+            TransitionChurn(
+                up_count=after[1],
+                down_count=after[2],
+                active_before=before[0],
+                active_after=after[0],
+            )
+            for before, after in zip(self._counts, self._counts[1:])
+        ]
 
     def summary(self, window_days: int) -> ChurnSummary:
         """The :class:`ChurnSummary` over all transitions so far."""
-        return ChurnSummary(window_days, tuple(self._transitions))
+        return ChurnSummary(window_days, tuple(self.transitions()))
 
 
 def churn_plateau(summaries: dict[int, ChurnSummary], from_size: int = 7) -> float:

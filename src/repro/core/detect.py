@@ -52,15 +52,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.dataset import ActivityDataset
+from repro.core.fold import ROW_WORDS, BlockColumn, row_bits
 from repro.core.metrics import compute_block_metrics
 from repro.net.ipv4 import format_ip
 from repro.obs import context as obs
-
-#: Mask selecting the /24 base of an IPv4 address.
-BLOCK_MASK = np.uint32(0xFFFFFF00)
-
-#: Addresses per /24 block — bound for the per-block slice searches.
-_BLOCK_SPAN = 256
 
 
 @dataclass(frozen=True)
@@ -122,42 +117,34 @@ class _BlockSeries:
 
 
 def _block_series(dataset: ActivityDataset) -> _BlockSeries:
-    """Active/hits/churn matrices over the union of observed /24s."""
-    num_windows = len(dataset)
-    parts = [snap.ips & BLOCK_MASK for snap in dataset.snapshots]
-    nonempty = [part for part in parts if part.size]
-    if not nonempty:
-        empty = np.zeros((0, num_windows), dtype=np.float64)
-        return _BlockSeries(
-            np.empty(0, dtype=np.uint64), empty, empty.copy(), empty.copy()
-        )
-    bases = np.unique(np.concatenate(nonempty)).astype(np.uint64)
-    active = np.zeros((bases.size, num_windows), dtype=np.float64)
+    """Active/hits/churn matrices over the union of observed /24s.
+
+    Churn is the set bits of ``now ^ before`` over ``now | before``,
+    on the presence rows of consecutive windows.
+    """
+    columns = [BlockColumn(snap.ips) for snap in dataset.snapshots]
+    bases = np.unique(np.concatenate([column.bases for column in columns]))
+    bases = bases.astype(np.uint64)
+    active = np.zeros((bases.size, len(dataset)), dtype=np.float64)
     hits = np.zeros_like(active)
     churn = np.zeros_like(active)
-    prev_slices: list[NDArray[Any]] | None = None
-    for window, (snap, ip_bases) in enumerate(zip(dataset.snapshots, parts)):
-        idx = np.searchsorted(bases, ip_bases.astype(np.uint64))
-        active[:, window] = np.bincount(idx, minlength=bases.size)
+    before = np.zeros((bases.size, ROW_WORDS), dtype=np.uint64)
+    for window, (snap, column) in enumerate(zip(dataset.snapshots, columns)):
+        rows = np.searchsorted(bases, column.bases.astype(np.uint64))
+        now = np.zeros_like(before)
+        now[rows] = column.words
+        active[rows, window] = column.counts
         hits[:, window] = np.bincount(
-            idx, weights=snap.hits.astype(np.float64), minlength=bases.size
+            np.repeat(rows, column.counts),
+            weights=snap.hits.astype(np.float64),
+            minlength=bases.size,
         )
-        lo = np.searchsorted(snap.ips, bases)
-        hi = np.searchsorted(snap.ips, bases + _BLOCK_SPAN)
-        cur_slices = [
-            snap.ips[lo[b] : hi[b]] for b in range(bases.size)
-        ]
-        if prev_slices is not None:
-            for b in range(bases.size):
-                before, after = prev_slices[b], cur_slices[b]
-                if not before.size and not after.size:
-                    continue
-                inter = np.intersect1d(
-                    before, after, assume_unique=True
-                ).size
-                union = before.size + after.size - inter
-                churn[b, window] = (union - inter) / union
-        prev_slices = cur_slices
+        if window:
+            union = row_bits(now | before)
+            seen = union > 0
+            changed = row_bits(now ^ before)[seen]
+            churn[seen, window] = changed / union[seen]
+        before = now
     return _BlockSeries(bases, active, hits, churn)
 
 

@@ -247,11 +247,6 @@ class DatasetIndex:
         self._ensure_blocks()
         return self._ip_block_index
 
-    @property
-    def block_filling_degree(self) -> np.ndarray:
-        """Distinct ever-active addresses per /24 (the Sec. 5.1 FD)."""
-        return np.bincount(self.ip_block_index, minlength=self.block_bases.size)
-
     def snapshot_block_index(self, index: int) -> np.ndarray:
         """Per address of snapshot *index*, its :attr:`block_bases` row.
 

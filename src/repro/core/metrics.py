@@ -10,9 +10,8 @@ The two metrics of Sec. 5.1, computed per /24 block:
   by the maximum possible (256 × days), in (0, 1].  Separates heavily
   used pools from barely used ones regardless of filling degree.
 
-Both are computed for every active block at once via bincount over the
-dataset's sparse columns, so a multi-million-address dataset is a few
-vector passes.
+Both are one fold, :class:`IncrementalBlockMetrics`, over the
+dataset's snapshot columns (see :mod:`repro.core.fold`).
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
+from repro.core.fold import ROW_WORDS, BlockColumn, BlockFold, row_bits, run_folds
 from repro.errors import DatasetError
 from repro.net.ipv4 import block_of
 from repro.obs import context as obs
@@ -82,156 +82,56 @@ def compute_block_metrics(dataset: ActivityDataset) -> BlockMetrics:
     active in a week contributes one unit out of the week's one).
     """
     with obs.span("analyze/block_metrics"):
-        index = dataset.index
-        if index.all_ips.size == 0:
-            raise DatasetError("dataset has no active addresses")
-        bases = index.block_bases
-
-        fd = index.block_filling_degree
-        activity = np.zeros(bases.size, dtype=np.int64)
-        for position in range(len(dataset)):
-            block_idx = index.snapshot_block_index(position)
-            if block_idx.size == 0:
-                continue
-            activity += np.bincount(block_idx, minlength=bases.size)
-        stu = activity / (BLOCK_SIZE * len(dataset))
-        obs.add("analyze_blocks_total", int(bases.size))
-        return BlockMetrics(
-            bases=bases,
-            filling_degree=fd.astype(np.int64),
-            stu=stu,
-            window_days=dataset.total_days,
-        )
+        return run_folds(dataset, lambda: IncrementalBlockMetrics(dataset.window_days)).result()
 
 
 def compute_block_metrics_streamed(store: "DatasetStore") -> BlockMetrics:
-    """FD and STU streamed shard-at-a-time over an out-of-core store.
-
-    Produces exactly ``compute_block_metrics(store.to_dataset())`` —
-    the in-memory function above is the executable reference spec —
-    without ever materializing the dataset: per-/24 quantities
-    decompose over the store's disjoint, 256-aligned shard ranges, so
-    each shard contributes a complete, final slice of the result and
-    peak memory is one shard's columns plus the per-block output.
-    """
+    """:func:`compute_block_metrics` streamed shard-at-a-time over a store."""
     with obs.span("analyze/block_metrics_streamed"):
-        num_snapshots = store.num_snapshots
-        bases_parts: list[np.ndarray] = []
-        fd_parts: list[np.ndarray] = []
-        activity_parts: list[np.ndarray] = []
-        for shard in store.shards:
-            # try/finally, not happy-path close: an exception mid-fold
-            # must not leak the shard's open RawNpzReader handle.
-            try:
-                columns = [
-                    shard.columns(position)[0] for position in range(num_snapshots)
-                ]
-                nonempty = [ips for ips in columns if ips.size]
-                if not nonempty:
-                    continue
-                if len(nonempty) == 1:
-                    union = nonempty[0]
-                else:
-                    union = np.unique(np.concatenate(nonempty))  # bounded: one shard
-                shard_bases, ip_block_index = np.unique(
-                    union & np.uint32(0xFFFFFF00), return_inverse=True
-                )
-                fd = np.bincount(ip_block_index, minlength=shard_bases.size)
-                activity = np.zeros(shard_bases.size, dtype=np.int64)
-                for ips in columns:
-                    if ips.size == 0:
-                        continue
-                    block_idx = np.searchsorted(
-                        shard_bases, ips & np.uint32(0xFFFFFF00)
-                    )
-                    activity += np.bincount(block_idx, minlength=shard_bases.size)
-                bases_parts.append(shard_bases)
-                fd_parts.append(fd.astype(np.int64))
-                activity_parts.append(activity)
-            finally:
-                shard.close()
-        if not bases_parts:
-            raise DatasetError("store has no active addresses")
-        bases = np.concatenate(bases_parts)  # O(active /24s), not O(addresses)
-        fd_all = np.concatenate(fd_parts)  # O(active /24s), not O(addresses)
-        activity_all = np.concatenate(activity_parts)  # O(active /24s)
-        stu = activity_all / (BLOCK_SIZE * num_snapshots)
-        obs.add("analyze_blocks_total", int(bases.size))
-        return BlockMetrics(
-            bases=bases,
-            filling_degree=fd_all,
-            stu=stu,
-            window_days=store.total_days,
-        )
+        return run_folds(store, lambda: IncrementalBlockMetrics(store.window_days)).result()
 
 
-class IncrementalBlockMetrics:
-    """FD/STU maintained one appended snapshot at a time.
+class IncrementalBlockMetrics(BlockFold):
+    """FD/STU as a fold over snapshot columns — their one definition.
 
-    The live-observatory service commits one interval per scheduler
-    tick; recomputing :func:`compute_block_metrics_streamed` over the
-    whole store every tick would make each tick cost O(history).  This
-    accumulator folds a single new window column into running state —
-    the address union (FD) and per-/24 activity totals (STU) — and
-    :meth:`result` derives exactly what the batch functions compute
-    over the same snapshots:
-
-    - the union is maintained with ``np.union1d`` over sorted unique
-      columns, so FD counts each address once regardless of arrival
-      order;
-    - per-/24 activity adds this column's integer address counts into
-      ``int64`` totals — identical integers to the batch bincounts, so
-      the one ``activity / (256 * n)`` division at :meth:`result` time
-      produces bit-identical ``float64`` STU values.
-
-    The batch functions stay the executable reference spec; the
-    property suite pins ``result()`` equal to them after every prefix
-    of appended intervals.
+    Per /24: the presence row of every address ever active (FD is its
+    bit count) and the ``int64`` count of active address-columns (STU
+    is that over ``256 × columns``, one division at :meth:`result`).
+    Exact integers, so in-memory, streamed and live runs agree bit for bit.
     """
 
     def __init__(self, window_days: int) -> None:
         if window_days < 1:
             raise DatasetError(f"bad window length: {window_days}")
-        self._window_days = window_days
-        self._union = np.empty(0, dtype=np.uint32)
-        self._bases = np.empty(0, dtype=np.uint32)
-        self._activity = np.empty(0, dtype=np.int64)
-        self._num_snapshots = 0
-
-    @property
-    def num_snapshots(self) -> int:
-        return self._num_snapshots
-
-    def update(self, ips: np.ndarray) -> None:
-        """Fold one window column (sorted unique ``uint32``) in."""
-        column = np.asarray(ips, dtype=np.uint32)
-        self._num_snapshots += 1
-        if column.size == 0:
-            return
-        self._union = np.union1d(self._union, column)
-        new_bases, counts = np.unique(
-            column & np.uint32(0xFFFFFF00), return_counts=True
+        super().__init__(
+            {
+                "ever": np.zeros((0, ROW_WORDS), dtype=np.uint64),
+                "activity": np.zeros(0, dtype=np.int64),
+            }
         )
-        merged = np.union1d(self._bases, new_bases)
-        activity = np.zeros(merged.size, dtype=np.int64)
-        activity[np.searchsorted(merged, self._bases)] = self._activity
-        activity[np.searchsorted(merged, new_bases)] += counts
-        self._bases = merged
-        self._activity = activity
+        self._window_days = window_days
+
+    def update(self, column: BlockColumn | np.ndarray) -> None:
+        """Fold the next snapshot column (sorted unique ``uint32``) in."""
+        column, rows = self._admit(column)
+        self._rows["ever"][rows] |= column.words
+        self._rows["activity"][rows] += column.counts
+
+    def merge(self, other: "IncrementalBlockMetrics") -> None:
+        if other._window_days != self._window_days:
+            raise DatasetError("cannot merge block metrics of different windows")
+        super().merge(other)
 
     def result(self) -> BlockMetrics:
         """The metrics over every snapshot folded in so far."""
-        if self._union.size == 0:
+        if self._bases.size == 0:
             raise DatasetError("dataset has no active addresses")
-        bases, ip_block_index = np.unique(
-            self._union & np.uint32(0xFFFFFF00), return_inverse=True
-        )
-        fd = np.bincount(ip_block_index, minlength=bases.size)
-        stu = self._activity / (BLOCK_SIZE * self._num_snapshots)
+        fd = row_bits(self._rows["ever"])
+        obs.add("analyze_blocks_total", int(self._bases.size))
         return BlockMetrics(
-            bases=bases,
-            filling_degree=fd.astype(np.int64),
-            stu=stu,
+            bases=self._bases,
+            filling_degree=fd,
+            stu=self._rows["activity"] / (BLOCK_SIZE * self._num_snapshots),
             window_days=self._num_snapshots * self._window_days,
         )
 
@@ -261,37 +161,24 @@ def block_metrics_from_matrix(matrix: np.ndarray) -> tuple[int, float]:
     return fd, stu
 
 
-class MonthlyStu(tuple):
-    """``(bases, stu_matrix)`` pair that also reports truncation.
+@dataclass(frozen=True)
+class MonthlyStu:
+    """Per-block STU per month, and the trailing days left out.
 
-    Unpacks exactly like the 2-tuple :func:`monthly_stu` always
-    returned, and additionally carries :attr:`dropped_days` — the
-    trailing days that did not fill a whole month and were therefore
-    excluded from every column.
+    :attr:`dropped_days` counts the trailing days that did not fill a
+    whole month and were therefore excluded from every column.
     """
 
-    def __new__(
-        cls, bases: np.ndarray, stu_matrix: np.ndarray, dropped_days: int
-    ) -> "MonthlyStu":
-        self = super().__new__(cls, (bases, stu_matrix))
-        self.dropped_days = int(dropped_days)
-        return self
-
-    @property
-    def bases(self) -> np.ndarray:
-        return self[0]
-
-    @property
-    def stu_matrix(self) -> np.ndarray:
-        return self[1]
+    bases: np.ndarray        # sorted /24 base addresses
+    stu_matrix: np.ndarray   # blocks x months
+    dropped_days: int
 
 
 def monthly_stu(dataset: ActivityDataset, month_days: int = 28) -> MonthlyStu:
     """Per-block STU for each month-sized chunk of a daily dataset.
 
-    Returns a :class:`MonthlyStu` — unpackable as ``(bases,
-    stu_matrix)`` — with one row per active block and one column per
-    month.  Blocks are the union of blocks active in any month; months
+    Returns a :class:`MonthlyStu` with one row per active block and
+    one column per month.  Blocks are the union of blocks active in any month; months
     without activity contribute STU 0.  This is the input to the
     change detection of Sec. 5.2 (Fig. 8a).
 
@@ -320,5 +207,7 @@ def monthly_stu(dataset: ActivityDataset, month_days: int = 28) -> MonthlyStu:
                 stu_matrix[:, month] += np.bincount(idx, minlength=all_bases.size)
         stu_matrix /= BLOCK_SIZE * month_days
         return MonthlyStu(
-            all_bases, stu_matrix, len(dataset) - num_months * month_days
+            bases=all_bases,
+            stu_matrix=stu_matrix,
+            dropped_days=len(dataset) - num_months * month_days,
         )

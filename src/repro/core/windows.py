@@ -10,7 +10,7 @@ adds the sweep-and-label conveniences the figures need.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 
 from repro.core.dataset import ActivityDataset
 from repro.errors import DatasetError
@@ -36,7 +36,7 @@ def aggregate_to_window(dataset: ActivityDataset, window_days: int) -> ActivityD
 
 
 def usable_window_sizes(
-    dataset: ActivityDataset, candidates: Sequence[int] = PAPER_WINDOW_SIZES
+    dataset: Sized, candidates: Sequence[int] = PAPER_WINDOW_SIZES
 ) -> list[int]:
     """Window sizes leaving at least two windows (one transition).
 

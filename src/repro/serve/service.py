@@ -9,10 +9,10 @@ serve``.  Each tick it:
 2. commits the interval's column to the live store through
    :class:`~repro.core.store.StoreAppender` (manifest-last inside the
    generation, pointer-last across generations);
-3. folds the column into the incremental analyses
+3. folds the column into the analyses
    (:class:`~repro.core.metrics.IncrementalBlockMetrics`,
-   :class:`~repro.core.churn.IncrementalChurn`) — batch twins stay the
-   reference spec;
+   :class:`~repro.core.churn.IncrementalChurn`) — the same folds the
+   in-memory and streamed functions drive, one ``update`` per tick;
 4. rewrites the rolling run manifest and routing RIB beside the store;
 5. publishes a rendered metrics snapshot for the scrape endpoint (the
    live :class:`~repro.obs.context.ObsContext` is not thread-safe, so

@@ -23,7 +23,7 @@ worker count**.  Three properties make shard boundaries invisible:
    per-block outcomes as :data:`directives <ShardTask.directives>`.
 3. The merge is canonical: /24 blocks own disjoint address ranges, so
    shard window columns never share an address and
-   :func:`~repro.core.index.kway_union` yields the same sorted union
+   :func:`~repro.core.index.kway_union_columns` yields the same sorted union
    whatever the shard count.  Hit counts are integers well below
    2**53, so per-shard ``float64`` accumulation followed by cross-
    shard ``uint64`` addition is exact.
@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.dataset import Snapshot
-from repro.core.index import kway_union, kway_union_columns
+from repro.core.index import kway_union_columns
 from repro.core.store import DatasetStore, StoreWriter
 from repro.errors import CollectionError, ConfigError, InjectedWorkerFault
 from repro.obs import context as obs_api
@@ -803,15 +803,6 @@ class LiveShardSimulator:
         return self._state.take_window(self.windows_done - 1)
 
 
-@dataclass(frozen=True)
-class _ShardColumn:
-    """Adapter giving a shard's window column the snapshot interface
-    :func:`~repro.core.index.kway_union` consumes."""
-
-    ips: np.ndarray
-    hits: np.ndarray
-
-
 @dataclass
 class _ResilienceCounters:
     """Mutable scratch for the retry/checkpoint/resume bookkeeping."""
@@ -1199,13 +1190,10 @@ def run_sharded_collection(
         else:
             window_start = config.start_date
             for window in range(num_windows):
-                columns = [
-                    _ShardColumn(
-                        result.window_ips[window], result.window_hits[window]
-                    )
-                    for result in results
-                ]
-                ips, hits = kway_union(columns)
+                ips, hits = kway_union_columns(
+                    [result.window_ips[window] for result in results],
+                    [result.window_hits[window] for result in results],
+                )
                 snapshots.append(Snapshot(window_start, window_days, ips, hits))
                 window_start += datetime.timedelta(days=window_days)
 

@@ -85,8 +85,6 @@ class TestDatasetIndexLayers:
             ds.index.block_bases[ds.index.ip_block_index],
             union & np.uint32(0xFFFFFF00),
         )
-        fd = ds.index.block_filling_degree
-        assert int(fd.sum()) == union.size
         for position, snapshot in enumerate(ds):
             expected = np.searchsorted(
                 expected_bases, snapshot.ips & np.uint32(0xFFFFFF00)

@@ -1,5 +1,6 @@
 """Tests for repro.core.metrics, change, addressing, potential."""
 
+import dataclasses
 import datetime
 
 import numpy as np
@@ -133,7 +134,8 @@ class TestMonthlySTU:
         month = 4  # tiny "months" for the test
         active = {BLOCK_A + i for i in range(64)}
         days = [active] * 4 + [set()] * 3 + [{BLOCK_A}] * 1
-        bases, stu = monthly_stu(make_dataset(days), month_days=month)
+        result = monthly_stu(make_dataset(days), month_days=month)
+        bases, stu = result.bases, result.stu_matrix
         assert bases.tolist() == [BLOCK_A]
         assert stu.shape == (1, 2)
         assert stu[0, 0] == pytest.approx(64 / 256)
@@ -158,13 +160,15 @@ class TestMonthlySTU:
         exact = monthly_stu(make_dataset([{BLOCK_A}] * 8), month_days=4)
         assert exact.dropped_days == 0
 
-    def test_result_still_unpacks_as_pair(self):
-        """The historical ``bases, stu = monthly_stu(...)`` contract."""
+    def test_result_fields_are_named(self):
+        """A frozen record of named fields, not a tuple to unpack."""
         result = monthly_stu(make_dataset([{BLOCK_A}] * 8), month_days=4)
-        bases, stu = result
-        assert bases is result.bases
-        assert stu is result.stu_matrix
-        assert isinstance(result, tuple) and len(result) == 2
+        assert result.bases.tolist() == [BLOCK_A]
+        assert result.stu_matrix.shape == (1, 2)
+        assert result.dropped_days == 0
+        assert not isinstance(result, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.dropped_days = 1
 
 
 class TestChangeDetection:

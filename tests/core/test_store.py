@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import churn, metrics
+from repro.core.analyze import analyze
 from repro.core.dataset import ActivityDataset, Snapshot
 from repro.core.index import iter_union_runs, kway_union
 from repro.core.io import (
@@ -39,6 +40,7 @@ from repro.errors import DatasetError
 from repro.obs import context as obs_api
 from repro.obs.context import ObsContext
 from repro.obs.manifest import dataset_digest
+from tests.core import reference_analyses as reference
 
 DAY0 = datetime.date(2015, 8, 17)
 
@@ -479,20 +481,28 @@ class TestStreamedEquivalenceProperties:
         with tempfile.TemporaryDirectory() as root:
             store = save_store(root, dataset, shard_blocks=shard_blocks)
             assert store.dataset_sha256 == dataset_digest(dataset)
-            reference = metrics.compute_block_metrics(dataset)
-            streamed = metrics.compute_block_metrics_streamed(store)
-            assert np.array_equal(streamed.bases, reference.bases)
-            assert np.array_equal(
-                streamed.filling_degree, reference.filling_degree
-            )
-            assert np.array_equal(streamed.stu, reference.stu)
-            assert churn.transition_churn_streamed(
-                store
-            ) == churn.transition_churn(dataset)
+            expected = reference.compute_block_metrics(dataset)
             sizes = [1, 2, len(dataset)]
-            assert churn.churn_by_window_size_streamed(
-                store, sizes
-            ) == churn.churn_by_window_size(dataset, sizes)
+            # Every path: in memory, streamed, and the single pass over both.
+            passes = [analyze(store, sweep=sizes), analyze(dataset, sweep=sizes)]
+            for got in (
+                metrics.compute_block_metrics(dataset),
+                metrics.compute_block_metrics_streamed(store),
+                *(folded.block_metrics() for folded in passes),
+            ):
+                assert np.array_equal(got.bases, expected.bases)
+                assert np.array_equal(got.filling_degree, expected.filling_degree)
+                assert np.array_equal(got.stu, expected.stu)
+                assert got.window_days == expected.window_days
+            transitions = reference.transition_churn(dataset)
+            assert churn.transition_churn(dataset) == transitions
+            assert churn.transition_churn_streamed(store) == transitions
+            expected_sweep = reference.churn_by_window_size(dataset, sizes)
+            assert churn.churn_by_window_size(dataset, sizes) == expected_sweep
+            assert churn.churn_by_window_size_streamed(store, sizes) == expected_sweep
+            for folded in passes:
+                assert list(folded.churn().transitions) == transitions
+                assert folded.sweep() == expected_sweep
             store.close()
 
 

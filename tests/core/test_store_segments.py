@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import churn, metrics
+from repro.core.analyze import analyze
 from repro.core.dataset import ActivityDataset
 from repro.core.io import open_store, save_store
 from repro.core.store import (
@@ -40,6 +41,7 @@ from repro.core.store import (
 )
 from repro.errors import DatasetError
 from repro.obs.manifest import dataset_digest
+from tests.core import reference_analyses as reference
 from tests.core.test_store import daily_datasets, make_dataset, snap
 
 DAY0 = datetime.date(2015, 8, 17)
@@ -121,17 +123,24 @@ def assert_readers_equal(live, batch, dataset):
 
 
 def assert_analyses_equal(live, batch, dataset):
-    if any(snapshot.ips.size for snapshot in dataset):
-        got = metrics.compute_block_metrics_streamed(live)
-        expected = metrics.compute_block_metrics_streamed(batch)
-        assert np.array_equal(got.bases, expected.bases)
-        assert np.array_equal(got.filling_degree, expected.filling_degree)
-        assert np.array_equal(got.stu, expected.stu)
-    assert churn.daily_churn_streamed(live) == churn.daily_churn(dataset)
+    """Both stores' streamed analyses equal the reference bodies."""
     sizes = [1, 2, len(dataset)]
-    assert churn.churn_by_window_size_streamed(
-        live, sizes
-    ) == churn.churn_by_window_size_streamed(batch, sizes)
+    expected_sweep = reference.churn_by_window_size(dataset, sizes)
+    for store in (live, batch):
+        folded = analyze(store, sweep=sizes)
+        if any(snapshot.ips.size for snapshot in dataset):
+            expected = reference.compute_block_metrics(dataset)
+            for got in (
+                metrics.compute_block_metrics_streamed(store),
+                folded.block_metrics(),
+            ):
+                assert np.array_equal(got.bases, expected.bases)
+                assert np.array_equal(got.filling_degree, expected.filling_degree)
+                assert np.array_equal(got.stu, expected.stu)
+        assert churn.daily_churn_streamed(store) == reference.daily_churn(dataset)
+        assert folded.churn() == reference.daily_churn(dataset)
+        assert churn.churn_by_window_size_streamed(store, sizes) == expected_sweep
+        assert folded.sweep() == expected_sweep
 
 
 class TestSegmentedReadersEqualBatch:

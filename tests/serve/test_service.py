@@ -15,8 +15,6 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.churn import transition_churn
-from repro.core.metrics import compute_block_metrics
 from repro.core.store import COMMIT_PHASE_FINALIZED, COMMIT_PHASE_FLIPPED
 from repro.errors import DatasetError
 from repro.obs.manifest import dataset_digest, load_manifest, manifest_path_for
@@ -24,6 +22,7 @@ from repro.serve import MetricsEndpoint, ObservatoryService
 from repro.sim.cdn import CDNObservatory
 from repro.sim.config import SimulationConfig
 from repro.sim.population import InternetPopulation
+from tests.core.reference_analyses import compute_block_metrics, transition_churn
 
 CONFIG = SimulationConfig(seed=5, num_slash8=5, num_ases=12, mean_blocks_per_as=3.0)
 NUM_DAYS = 6

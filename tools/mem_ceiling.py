@@ -2,9 +2,9 @@
 """Constant-memory acceptance gate for the out-of-core dataset store.
 
 Synthesizes a store too large to analyze comfortably in RAM, then runs
-the streamed analyses (filling degree / STU, transition churn) in a
-child process whose heap is capped with ``RLIMIT_DATA`` at the
-documented memory ceiling.  The streamed path must complete under the
+the single-pass streamed analyses (filling degree / STU, daily churn
+and the full Fig. 4b window-size sweep) in a child process whose heap
+is capped with ``RLIMIT_DATA`` at the documented memory ceiling.  The streamed path must complete under the
 cap; the in-memory reference path is run in a second (uncapped) child
 and its peak RSS recorded, demonstrating that the same analyses would
 blow the ceiling without the store.
@@ -92,29 +92,32 @@ def synthesize_store(
     return writer.finalize()
 
 
+def _analyze(source) -> str:
+    """FD/STU, daily churn and the full Fig. 4b sweep in one pass."""
+    from repro.core.analyze import analyze
+    from repro.core.windows import PAPER_WINDOW_SIZES
+
+    folded = analyze(source, sweep=PAPER_WINDOW_SIZES)
+    return (
+        f"{folded.block_metrics().num_blocks} blocks, "
+        f"{len(folded.churn().transitions)} transitions, "
+        f"{len(folded.sweep())} window sizes"
+    )
+
+
 def _child_streamed(root: str) -> None:
-    from repro.core.churn import transition_churn_streamed
     from repro.core.io import open_store
-    from repro.core.metrics import compute_block_metrics_streamed
 
     with open_store(root) as store:
-        block_metrics = compute_block_metrics_streamed(store)
-        transitions = transition_churn_streamed(store)
-    print(f"streamed ok: {block_metrics.num_blocks} blocks, "
-          f"{len(transitions)} transitions")
+        print(f"streamed ok: {_analyze(store)}")
 
 
 def _child_inmemory(root: str) -> None:
-    from repro.core.churn import transition_churn
     from repro.core.io import open_store
-    from repro.core.metrics import compute_block_metrics
 
     with open_store(root) as store:
         dataset = store.to_dataset(mmap=False)
-        block_metrics = compute_block_metrics(dataset)
-        transitions = transition_churn(dataset)
-    print(f"inmemory ok: {block_metrics.num_blocks} blocks, "
-          f"{len(transitions)} transitions")
+        print(f"inmemory ok: {_analyze(dataset)}")
 
 
 def _run_child(root: str, mode: str, limit_bytes: int | None) -> dict:

@@ -125,8 +125,10 @@ class NarrowAstype(Rule):
 
 _STREAMING_SCOPE = (
     "src/repro/core/store.py",
+    "src/repro/core/fold.py",
     "src/repro/core/metrics.py",
     "src/repro/core/churn.py",
+    "src/repro/core/analyze.py",
 )
 
 _CONCAT_CALLS = {"concatenate", "vstack", "hstack"}
