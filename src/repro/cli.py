@@ -6,12 +6,14 @@ would run them:
 - ``repro simulate`` builds a synthetic Internet, observes it through
   the CDN, and writes the dataset (``.npz``) and daily routing series
   (``.rib.txt``) to disk;
-- ``repro analyze`` loads a stored dataset and prints one of the
-  paper's analyses (churn, block metrics, change detection, traffic
-  concentration) — or ``all`` of them in one pass.  Analyses share the
-  dataset's memoized :class:`~repro.core.index.DatasetIndex`, so the
-  expensive sorted-union/projection step is computed once per run, not
-  once per analysis.
+- ``repro analyze`` reads a stored dataset (``.npz``) or store and
+  prints one of the paper's analyses (churn, block metrics, change
+  detection, traffic concentration) — or ``all`` of them.  Churn,
+  block metrics, potential utilization, change and event detection
+  are folds (:mod:`repro.core.fold`) sharing one pass over the input;
+  over a store it streams shard by shard.  The weekday profile reads
+  per-snapshot counts (a store's from its headers); only traffic
+  concentration materializes the dataset.
 - ``repro serve`` runs the live observatory: one interval collected
   and crash-safely appended to a live store per tick, incremental
   analyses folded in, and a Prometheus scrape endpoint serving the
@@ -168,8 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "dataset",
-        help="path to a .npz dataset, or a store directory (churn, metrics "
-        "and potential then stream shard-by-shard in one constant-memory pass)",
+        help="path to a .npz dataset, or a store directory (churn, metrics, "
+        "potential, change and --detect-events then stream shard by shard in "
+        "one pass, weekday reads column headers; only traffic loads the dataset)",
     )
     analyze.add_argument("--month-days", type=int, default=28)
     analyze.add_argument("--top-fraction", type=float, default=0.10)
@@ -509,8 +512,8 @@ def _analyze_metrics(folded, args: argparse.Namespace) -> None:
     print(render_table(["quantity", "value"], rows, title="Block metrics"))
 
 
-def _analyze_change(dataset, args: argparse.Namespace) -> None:
-    detection = change.detect_change(dataset, month_days=args.month_days)
+def _analyze_change(folded, args: argparse.Namespace) -> None:
+    detection = change.detect_change(folded.series(), month_days=args.month_days)
     rows = [
         ("blocks analysed", str(detection.bases.size)),
         ("major change (|ΔSTU| > 0.25)", format_percent(detection.major_fraction)),
@@ -530,8 +533,8 @@ def _analyze_potential(folded, args: argparse.Namespace) -> None:
     print(render_table(["quantity", "value"], rows, title="Potential utilization"))
 
 
-def _analyze_weekday(dataset, args: argparse.Namespace) -> None:
-    profile = seasonal.weekday_profile(dataset)
+def _analyze_weekday(source, args: argparse.Namespace) -> None:
+    profile = seasonal.weekday_profile(source)
     rows = [
         (name, format_count(profile.mean_active[day]))
         for day, name in enumerate(seasonal.WEEKDAY_NAMES)
@@ -541,7 +544,8 @@ def _analyze_weekday(dataset, args: argparse.Namespace) -> None:
     print(render_table(["day", "mean active"], rows, title="Weekday profile"))
 
 
-def _analyze_traffic(dataset, args: argparse.Namespace) -> None:
+def _analyze_traffic(source, args: argparse.Namespace) -> None:
+    dataset = source if isinstance(source, ActivityDataset) else source.to_dataset()
     shares = traffic.top_share_series(dataset, args.top_fraction)
     trend = traffic.consolidation_trend(shares) if shares.size > 1 else 0.0
     rows = [
@@ -553,8 +557,8 @@ def _analyze_traffic(dataset, args: argparse.Namespace) -> None:
     print(render_table(["quantity", "value"], rows, title="Traffic concentration"))
 
 
-def _analyze_events(dataset, args: argparse.Namespace) -> None:
-    events = detect.detect_events(dataset)
+def _analyze_events(folded, args: argparse.Namespace) -> None:
+    events = detect.detect_events(folded.series())
     if not events:
         print("Detected events: none")
         return
@@ -588,29 +592,26 @@ _ANALYSES = {
 
 #: Analyses that are folds (:mod:`repro.core.fold`): they take the
 #: result of one pass over the dataset or store, not the dataset.
-_FOLDED = ("churn", "metrics", "potential")
+_FOLDED = ("churn", "metrics", "change", "potential")
 
 
 def _analyze(source, args: argparse.Namespace) -> None:
     """Run the requested analyses over a dataset or an out-of-core store.
 
-    The folded analyses (churn, metrics, potential) share one pass
-    over *source*; over a store that pass streams shard by shard and
-    never materializes the dataset.  The rest run on the dataset, built
-    from a store at most once.
+    The folded analyses and event detection share one pass over
+    *source* (with the per-/24 series only for change or events); over
+    a store it streams shard by shard.  The rest take *source* itself:
+    only traffic concentration materializes a store's dataset.
     """
     names = list(_ANALYSES) if args.analysis == "all" else [args.analysis]
-    folded = fold_pass(source, churn="churn" in names) if set(names) & set(_FOLDED) else None
-    dataset = source if isinstance(source, ActivityDataset) else None
+    folded = None
+    if args.detect_events or set(names) & set(_FOLDED):
+        series = "change" in names or args.detect_events
+        folded = fold_pass(source, churn="churn" in names, series=series)
     for name in names:
-        if name in _FOLDED:
-            _ANALYSES[name](folded, args)
-            continue
-        if dataset is None:
-            dataset = source.to_dataset()
-        _ANALYSES[name](dataset, args)
+        _ANALYSES[name](folded if name in _FOLDED else source, args)
     if args.detect_events:
-        _analyze_events(dataset if dataset is not None else source.to_dataset(), args)
+        _analyze_events(folded, args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -729,8 +730,8 @@ def _run_lint(lint_args: Sequence[str]) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # One dataset object for the whole run: every analysis below reuses
-    # its memoized DatasetIndex (union, projections, block scatter).
+    # One source for the whole run: the folded analyses share one pass
+    # over it (see _analyze); a store stays open until they are done.
     ctx = ObsContext()
     with obs_api.activate(ctx):
         if os.path.isdir(args.dataset):

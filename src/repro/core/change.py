@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dataset import ActivityDataset
+from repro.core.fold import BlockSeries, Source
 from repro.core.metrics import monthly_stu
 from repro.errors import DatasetError
 
@@ -62,17 +62,20 @@ class ChangeDetection:
 
 
 def detect_change(
-    dataset: ActivityDataset,
+    source: Source | BlockSeries,
     month_days: int = 28,
     threshold: float = DEFAULT_CHANGE_THRESHOLD,
 ) -> ChangeDetection:
     """Fig. 8a: the max month-to-month STU change per active /24.
 
+    *source* is a daily dataset or store, or its already folded
+    :class:`~repro.core.fold.BlockSeries`.
+
     The sign of the reported change is kept (a block switched off shows
     a negative change, a lit-up block a positive one); the magnitude is
     compared against *threshold* for the major/minor split.
     """
-    monthly = monthly_stu(dataset, month_days)
+    monthly = monthly_stu(source, month_days)
     stu = monthly.stu_matrix
     if stu.shape[1] < 2:
         raise DatasetError("change detection needs at least two months")

@@ -4,11 +4,12 @@ The scenario library (:mod:`repro.sim.scenario`) injects exogenous
 events — outages, lockdown demand shifts, CGNAT consolidation,
 transfer-market reuse, scanner storms, renumbering — into the
 simulated world.  This module closes the loop from the *observable*
-side: given only an :class:`~repro.core.dataset.ActivityDataset`, it
-localizes each injected event to within one window, with no access to
-the timeline that produced the data.
+side: given only a dataset or a store, it localizes each injected
+event to within one window, with no access to the timeline that
+produced the data.
 
-Three per-block (/24) channels, all derived from the activity matrix:
+Three per-block (/24) channels, all derived from the activity matrix
+by one fold, :class:`~repro.core.fold.BlockSeries`:
 
 - **active** — distinct active addresses per window.  A step change
   (first difference beyond a robust threshold) marks an
@@ -51,9 +52,9 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.core.analyze import analyze
 from repro.core.dataset import ActivityDataset
-from repro.core.fold import ROW_WORDS, BlockColumn, row_bits
-from repro.core.metrics import compute_block_metrics
+from repro.core.fold import BlockSeries, Source, block_series
 from repro.net.ipv4 import format_ip
 from repro.obs import context as obs
 
@@ -106,60 +107,15 @@ class DetectedEvent:
         }
 
 
-@dataclass(frozen=True)
-class _BlockSeries:
-    """Per-block × per-window channel matrices."""
-
-    bases: NDArray[Any]
-    active: NDArray[Any]
-    hits: NDArray[Any]
-    churn: NDArray[Any]
-
-
-def _block_series(dataset: ActivityDataset) -> _BlockSeries:
-    """Active/hits/churn matrices over the union of observed /24s.
-
-    Churn is the set bits of ``now ^ before`` over ``now | before``,
-    on the presence rows of consecutive windows.
-    """
-    columns = [BlockColumn(snap.ips) for snap in dataset.snapshots]
-    bases = np.unique(np.concatenate([column.bases for column in columns]))
-    bases = bases.astype(np.uint64)
-    active = np.zeros((bases.size, len(dataset)), dtype=np.float64)
-    hits = np.zeros_like(active)
-    churn = np.zeros_like(active)
-    before = np.zeros((bases.size, ROW_WORDS), dtype=np.uint64)
-    for window, (snap, column) in enumerate(zip(dataset.snapshots, columns)):
-        rows = np.searchsorted(bases, column.bases.astype(np.uint64))
-        now = np.zeros_like(before)
-        now[rows] = column.words
-        active[rows, window] = column.counts
-        hits[:, window] = np.bincount(
-            np.repeat(rows, column.counts),
-            weights=snap.hits.astype(np.float64),
-            minlength=bases.size,
-        )
-        if window:
-            union = row_bits(now | before)
-            seen = union > 0
-            changed = row_bits(now ^ before)[seen]
-            churn[seen, window] = changed / union[seen]
-        before = now
-    return _BlockSeries(bases, active, hits, churn)
-
-
-def _weekday_classes(dataset: ActivityDataset) -> NDArray[Any]:
+def _weekday_classes(series: BlockSeries) -> NDArray[Any]:
     """0 for weekday windows, 1 for weekend — daily datasets only.
 
     At coarser windows each window mixes both classes, so the weekly
     seasonality averages out and no residual is needed (all zeros).
     """
-    if dataset.window_days != 1:
-        return np.zeros(len(dataset), dtype=np.int64)
-    return np.array(
-        [1 if snap.start.weekday() >= 5 else 0 for snap in dataset.snapshots],
-        dtype=np.int64,
-    )
+    if series.window_days != 1:
+        return np.zeros(len(series), dtype=np.int64)
+    return (series.start.weekday() + np.arange(len(series))) % 7 // 5
 
 
 def _transition_types(classes: NDArray[Any]) -> NDArray[Any]:
@@ -220,7 +176,7 @@ def _churn_flags(
     abs_floor: float,
     mad_k: float,
 ) -> NDArray[Any]:
-    """Outlier flags on the churn matrix (columns 1..W-1 meaningful).
+    """Outlier flags on the churn matrix; column ``i`` is window ``i + 1``.
 
     Churn is already a between-window change measure, so it is
     residualized per transition type (weekend boundaries churn more)
@@ -232,15 +188,17 @@ def _churn_flags(
     """
     resid = _transition_residuals(churn[:, 1:], transitions)
     scale = np.quantile(np.abs(resid), 0.75, axis=1, keepdims=True)
-    flags = np.zeros(churn.shape, dtype=bool)
-    flags[:, 1:] = resid > np.maximum(abs_floor, mad_k * scale)
+    flags: NDArray[Any] = resid > np.maximum(abs_floor, mad_k * scale)
     return flags
 
 
 def detect_events(
-    dataset: ActivityDataset, config: DetectorConfig | None = None
+    source: Source | BlockSeries, config: DetectorConfig | None = None
 ) -> list[DetectedEvent]:
-    """Localize exogenous change points in *dataset* to one window.
+    """Localize exogenous change points in *source* to one window.
+
+    *source* is a dataset or store, or its already folded
+    :class:`~repro.core.fold.BlockSeries`.
 
     Returns events sorted by ``(window, kind)``.  Kinds: ``activation``
     / ``deactivation`` (active-count step up/down), ``surge`` /
@@ -251,65 +209,46 @@ def detect_events(
     """
     if config is None:
         config = DetectorConfig()
-    if len(dataset) < 2:
+    if len(source) < 2:
         return []
     with obs.span("analyze/detect_events"):
-        series = _block_series(dataset)
-        transitions = _transition_types(_weekday_classes(dataset))
+        series = block_series(source)
+        transitions = _transition_types(_weekday_classes(series))
         active_d, active_flag = _step_deltas(
-            series.active, transitions, config.min_active_delta, config.mad_k
+            series.active.astype(np.float64), transitions, config.min_active_delta, config.mad_k
         )
         hits_d, hits_flag = _step_deltas(
-            np.log1p(series.hits),
-            transitions,
-            config.min_log_ratio,
-            config.mad_k,
+            np.log1p(series.hits.astype(np.float64)), transitions, config.min_log_ratio, config.mad_k
         )
-        churn_flag = _churn_flags(
-            series.churn, transitions, config.min_churn, config.mad_k
-        )
-        grouped: dict[tuple[int, str], list[tuple[int, float]]] = {}
-        for b in range(series.bases.size):
-            base = int(series.bases[b])
-            for window in range(1, len(dataset)):
-                i = window - 1
-                if active_flag[b, i]:
-                    kind = (
-                        "activation" if active_d[b, i] > 0 else "deactivation"
-                    )
-                    grouped.setdefault((window, kind), []).append(
-                        (base, abs(float(active_d[b, i])))
-                    )
-                    # The active step explains the hit and churn moves
-                    # at this (block, window): report the root cause
-                    # only.
-                    continue
-                if hits_flag[b, i]:
-                    kind = "surge" if hits_d[b, i] > 0 else "quiet"
-                    grouped.setdefault((window, kind), []).append(
-                        (base, abs(float(hits_d[b, i])))
-                    )
-                if churn_flag[b, window]:
-                    grouped.setdefault((window, "churn"), []).append(
-                        (base, float(series.churn[b, window]))
-                    )
+        churn_flag = _churn_flags(series.churn, transitions, config.min_churn, config.mad_k)
+        # Column i of each matrix is the step into window i + 1.  An
+        # active step explains the hit and churn moves at its (block,
+        # window): only that root cause is reported there.
+        calm = ~active_flag
+        flagged = {
+            "activation": (active_flag & (active_d > 0), np.abs(active_d)),
+            "deactivation": (active_flag & ~(active_d > 0), np.abs(active_d)),
+            "surge": (calm & hits_flag & (hits_d > 0), np.abs(hits_d)),
+            "quiet": (calm & hits_flag & ~(hits_d > 0), np.abs(hits_d)),
+            "churn": (calm & churn_flag, series.churn[:, 1:]),
+        }
         events = []
-        for (window, kind), members in sorted(grouped.items()):
-            if len(members) < config.min_blocks:
-                continue
-            bases = tuple(base for base, _ in members)
-            magnitudes = np.array([mag for _, mag in members])
-            events.append(
-                DetectedEvent(
-                    window=window,
-                    kind=kind,
-                    num_blocks=len(members),
-                    first_base=bases[0],
-                    last_base=bases[-1],
-                    bases=bases,
-                    magnitude=float(np.median(magnitudes)),
+        for kind, (flags, magnitudes) in flagged.items():
+            for step in np.flatnonzero(flags.sum(axis=0) >= config.min_blocks):
+                rows = np.flatnonzero(flags[:, step])
+                bases = tuple(int(base) for base in series.bases[rows])
+                events.append(
+                    DetectedEvent(
+                        window=int(step) + 1,
+                        kind=kind,
+                        num_blocks=len(bases),
+                        first_base=bases[0],
+                        last_base=bases[-1],
+                        bases=bases,
+                        magnitude=float(np.median(magnitudes[rows, step])),
+                    )
                 )
-            )
+        events.sort(key=lambda event: (event.window, event.kind))
         obs.add("analyze_detected_events_total", len(events))
     return events
 
@@ -324,9 +263,10 @@ def scenario_signature(
     values are derived deterministically from the dataset, so any
     engine or scenario-compiler drift shows up as a signature diff.
     """
-    metrics = compute_block_metrics(dataset)
-    events = detect_events(dataset, config)
-    series = _block_series(dataset)
+    folded = analyze(dataset, churn=False, series=True)
+    metrics = folded.block_metrics()
+    series = folded.series()
+    events = detect_events(series, config)
     peak_window = 0
     peak_churn = 0.0
     if series.bases.size and len(dataset) >= 2:
@@ -339,12 +279,8 @@ def scenario_signature(
         "num_blocks": int(series.bases.size),
         "median_fd": float(np.median(metrics.filling_degree)),
         "median_stu": round(float(np.median(metrics.stu)), 9),
-        "total_active": int(
-            sum(snap.ips.size for snap in dataset.snapshots)
-        ),
-        "total_hits": int(
-            sum(int(snap.hits.sum()) for snap in dataset.snapshots)
-        ),
+        "total_active": int(series.active.sum()),
+        "total_hits": int(series.hits.sum()),
         "peak_churn_window": peak_window,
         "peak_churn": round(peak_churn, 9),
         "events": [event.to_dict() for event in events],

@@ -1,6 +1,7 @@
 """One fold per analysis, one pass per /24 range.
 
-FD/STU and churn (Secs. 4.1, 5.1) are reductions of a /24's 256 ×
+FD/STU, churn (Secs. 4.1, 5.1) and the per-/24 window series behind
+change and event detection (Sec. 5.2) are reductions of a /24's 256 ×
 windows activity matrix (Figs. 6/7).  A :class:`BlockFold` keeps, per
 /24 it has seen, 256-bit presence rows (four ``uint64`` words) and
 per-row totals, with ``update(column)`` for the next snapshot column,
@@ -12,7 +13,9 @@ range and a store as its shards; ``repro serve`` calls ``update``.
 
 from __future__ import annotations
 
+import datetime
 from collections.abc import Callable, Iterable
+from functools import partial
 from typing import TYPE_CHECKING, Any, Generic, NamedTuple, Protocol, TypeVar, Union
 
 import numpy as np
@@ -48,11 +51,14 @@ class _Location(NamedTuple):
 
 
 class BlockColumn:
-    """A sorted unique ``uint32`` column split by /24, once for all folds."""
+    """A sorted unique ``uint32`` column split by /24, once for all folds.
 
-    __slots__ = ("bases", "counts", "words", "_located")
+    Its per-address *hits* are only read by :attr:`hits`.
+    """
 
-    def __init__(self, ips: NDArray[Any]) -> None:
+    __slots__ = ("bases", "counts", "words", "_starts", "_hits", "_block_hits", "_located")
+
+    def __init__(self, ips: NDArray[Any], hits: NDArray[Any] | None = None) -> None:
         column = np.asarray(ips, dtype=np.uint32)
         blocks = column & np.uint32(0xFFFFFF00)
         first = np.ones(column.size, dtype=bool)
@@ -65,7 +71,20 @@ class BlockColumn:
         self.words = np.packbits(
             grid.reshape(-1, 256), axis=1, bitorder="little"
         ).view(np.uint64)
+        self._starts = starts
+        self._hits = hits
+        self._block_hits: NDArray[np.uint64] | None = None
         self._located: tuple[NDArray[Any], _Location] | None = None
+
+    @property
+    def hits(self) -> NDArray[np.uint64]:
+        """Exact ``uint64`` hit sum per /24, computed on first use."""
+        if self._block_hits is None:
+            if self._hits is None:
+                raise DatasetError("this column was split without its hits")
+            hits = np.asarray(self._hits, dtype=np.uint64)
+            self._block_hits = np.add.reduceat(hits, self._starts)
+        return self._block_hits
 
     def locate(self, bases: NDArray[Any]) -> _Location:
         """Place this column's /24s among the sorted, read-only *bases*.
@@ -175,9 +194,9 @@ class FoldGroup(Generic[K, F]):
             fold.merge(other.folds[key])
 
 
-def _fed(fold: F, columns: Iterable[NDArray[Any]]) -> F:
-    for ips in columns:
-        fold.update(BlockColumn(ips))
+def _fed(fold: F, columns: Iterable[tuple[NDArray[Any], NDArray[Any]]]) -> F:
+    for ips, hits in columns:
+        fold.update(BlockColumn(ips, hits))
     return fold
 
 
@@ -190,13 +209,82 @@ def run_folds(source: Source, make: Callable[[], F]) -> F:
     memory is one shard's column plus the per-/24 rows.
     """
     if isinstance(source, ActivityDataset):
-        return _fed(make(), (snapshot.ips for snapshot in source))
+        return _fed(make(), ((snapshot.ips, snapshot.hits) for snapshot in source))
     count = len(source)
-    total = _fed(make(), [np.empty(0, dtype=np.uint32)] * count)
+    empty = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64))
+    total = _fed(make(), [empty] * count)
     for shard in source.shards:
         try:
-            part = _fed(make(), (shard.columns(index)[0] for index in range(count)))
+            part = _fed(make(), (shard.columns(index) for index in range(count)))
         finally:
             shard.close()
         total.merge(part)
     return total
+
+
+class BlockSeries(BlockFold):
+    """Per-/24 × per-window activity series as a fold — their one definition.
+
+    Three ``blocks × windows`` channels: active addresses, the exact
+    ``uint64`` hit sum, and churn — set bits of ``now ^ before`` over
+    ``now | before`` on consecutive windows' presence rows (0 at the
+    first window and where the /24 is idle in both; the last row is
+    kept, as :class:`~repro.core.churn.IncrementalChurn` does).  Sized
+    by the snapshot count, known before the pass; *start* and
+    *window_days* date the windows.
+    """
+
+    def __init__(self, start: datetime.date, window_days: int, num_snapshots: int) -> None:
+        super().__init__(
+            {
+                "active": np.zeros((0, num_snapshots), dtype=np.int64),
+                "hits": np.zeros((0, num_snapshots), dtype=np.uint64),
+                "churn": np.zeros((0, num_snapshots), dtype=np.float64),
+                "last": np.zeros((0, ROW_WORDS), dtype=np.uint64),
+            }
+        )
+        self.start = start
+        self.window_days = window_days
+        self._size = num_snapshots
+
+    def __len__(self) -> int:
+        return self._size
+
+    def update(self, column: BlockColumn | NDArray[Any]) -> None:
+        """Fold the next snapshot column in (its hits are read)."""
+        column, rows = self._admit(column)
+        window = self._num_snapshots - 1
+        self._rows["active"][rows, window] = column.counts
+        self._rows["hits"][rows, window] = column.hits
+        before = self._rows["last"]
+        now = np.zeros_like(before)
+        now[rows] = column.words
+        if window:
+            union = row_bits(now | before)
+            seen = union > 0
+            self._rows["churn"][seen, window] = row_bits(now ^ before)[seen] / union[seen]
+        self._rows["last"] = now
+
+    @property
+    def bases(self) -> NDArray[Any]:
+        """Sorted /24 bases seen in any window, one per channel row."""
+        return self._bases
+
+    @property
+    def active(self) -> NDArray[np.int64]:
+        return self._rows["active"]
+
+    @property
+    def hits(self) -> NDArray[np.uint64]:
+        return self._rows["hits"]
+
+    @property
+    def churn(self) -> NDArray[np.float64]:
+        return self._rows["churn"]
+
+
+def block_series(source: Source | BlockSeries) -> BlockSeries:
+    """*source*'s :class:`BlockSeries` in one pass (a series is returned as is)."""
+    if isinstance(source, BlockSeries):
+        return source
+    return run_folds(source, partial(BlockSeries, source.start, source.window_days, len(source)))

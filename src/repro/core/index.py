@@ -1,13 +1,14 @@
 """Shared per-dataset index: the sorted union and its projections.
 
-Every analysis in the paper starts from the same handful of derived
-arrays: the sorted union of ever-active addresses (Table 1 totals),
-the position of each snapshot's addresses inside that union (the
-``searchsorted`` projection behind churn, traffic, and per-AS views),
-per-address activity summaries (Fig. 9), and the /24 block keys with
-their per-snapshot scatter indices (Figs. 6–8).  Before this module
-existed each figure recomputed those from scratch; on a multi-million
-address dataset the union step alone dominated every analysis pass.
+The per-address analyses start from the same derived arrays: the
+sorted union of ever-active addresses (Table 1 totals), the position
+of each snapshot's addresses inside that union (the ``searchsorted``
+projection behind traffic and per-AS views), and per-address activity
+summaries (Fig. 9).  Before this module existed each figure recomputed
+those from scratch; on a multi-million address dataset the union step
+alone dominated every analysis pass.  Per-/24 quantities (FD/STU,
+churn, monthly STU, the detection series; Figs. 4–8) need no union:
+they are folds over each column's /24 split (:mod:`repro.core.fold`).
 
 :class:`DatasetIndex` computes each of these layers lazily, exactly
 once, and memoizes the result.  Memoization is safe because
@@ -31,7 +32,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.net.ipv4 import blocks_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.dataset import ActivityDataset, Snapshot
@@ -126,20 +126,14 @@ class DatasetIndex:
       addresses inside :attr:`all_ips`;
     - :attr:`windows_active` / :attr:`total_hits` — per union address,
       the number of snapshots it appears in and its exact ``uint64``
-      request total;
-    - :attr:`block_bases` / :attr:`ip_block_index` /
-      :meth:`snapshot_block_index` — the /24 layer: sorted block base
-      addresses, each union address's block row, and per-snapshot
-      block scatter indices ready for ``bincount``.
+      request total.
 
     Obtain one via ``dataset.index``; constructing your own bypasses
     the per-dataset memoization.
     """
 
     __slots__ = (
-        "_block_bases",
         "_dataset",
-        "_ip_block_index",
         "_ips",
         "_positions",
         "_total_hits",
@@ -152,8 +146,6 @@ class DatasetIndex:
         self._positions: list[np.ndarray] | None = None
         self._windows_active: np.ndarray | None = None
         self._total_hits: np.ndarray | None = None
-        self._block_bases: np.ndarray | None = None
-        self._ip_block_index: np.ndarray | None = None
 
     # -- union layer ---------------------------------------------------------
 
@@ -224,33 +216,3 @@ class DatasetIndex:
     def per_ip_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The Fig. 9 backbone: ``(ips, windows_active, total_hits)``."""
         return self.all_ips, self.windows_active, self.total_hits
-
-    # -- /24 block layer -----------------------------------------------------
-
-    def _ensure_blocks(self) -> None:
-        if self._block_bases is not None:
-            return
-        blocks = blocks_of(self.all_ips, 24)
-        bases, ip_block_index = np.unique(blocks, return_inverse=True)
-        self._block_bases = _frozen(bases)
-        self._ip_block_index = _frozen(ip_block_index.astype(np.int64, copy=False))
-
-    @property
-    def block_bases(self) -> np.ndarray:
-        """Sorted /24 base addresses with any activity in the dataset."""
-        self._ensure_blocks()
-        return self._block_bases
-
-    @property
-    def ip_block_index(self) -> np.ndarray:
-        """Per union address, the row of its /24 inside :attr:`block_bases`."""
-        self._ensure_blocks()
-        return self._ip_block_index
-
-    def snapshot_block_index(self, index: int) -> np.ndarray:
-        """Per address of snapshot *index*, its :attr:`block_bases` row.
-
-        Ready to feed ``np.bincount(..., minlength=block_bases.size)``
-        for per-snapshot block activity scatters.
-        """
-        return self.ip_block_index[self.snapshot_positions(index)]

@@ -435,7 +435,7 @@ def save_store(
     dataset SHA-256 equals :func:`repro.obs.manifest.dataset_digest` of
     *dataset* exactly.
     """
-    from repro.core.store import StoreWriter
+    from repro.core.store import StoreWriter, address_slice, bases_of_columns, block_chunks
 
     with obs.span("io/save_store"):
         writer = StoreWriter(
@@ -445,21 +445,13 @@ def save_store(
             num_snapshots=len(dataset),
             shard_blocks=shard_blocks,
         )
-        bases = dataset.index.block_bases
         snapshots = list(dataset)
-        for chunk_start in range(0, int(bases.size), shard_blocks):
-            chunk = bases[chunk_start : chunk_start + shard_blocks]
-            lo = int(chunk[0])
-            # Inclusive last address of the chunk's top /24: stays in
-            # uint32 range, unlike the exclusive bound 2**32 would not.
-            hi = int(chunk[-1]) + 255
+        bases = bases_of_columns(snapshot.ips for snapshot in snapshots)
+        for _offset, chunk, lo, hi in block_chunks(bases, shard_blocks):
             columns: list[tuple[NDArray[Any], NDArray[Any]]] = []
             for snapshot in snapshots:
-                left = int(np.searchsorted(snapshot.ips, lo))
-                right = int(np.searchsorted(snapshot.ips, hi, side="right"))
-                columns.append(
-                    (snapshot.ips[left:right], snapshot.hits[left:right])
-                )
+                part = address_slice(snapshot.ips, lo, hi)
+                columns.append((snapshot.ips[part], snapshot.hits[part]))
             writer.add_shard(chunk, columns)
         store = writer.finalize()
         obs.add("stores_saved_total")

@@ -11,7 +11,9 @@ The two metrics of Sec. 5.1, computed per /24 block:
   used pools from barely used ones regardless of filling degree.
 
 Both are one fold, :class:`IncrementalBlockMetrics`, over the
-dataset's snapshot columns (see :mod:`repro.core.fold`).
+dataset's snapshot columns (see :mod:`repro.core.fold`).  Monthly STU
+(:func:`monthly_stu`, Fig. 8a) sums the active channel of the per-/24
+series fold, :class:`~repro.core.fold.BlockSeries`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.dataset import ActivityDataset
-from repro.core.fold import ROW_WORDS, BlockColumn, BlockFold, row_bits, run_folds
+from repro.core.fold import ROW_WORDS, BlockColumn, BlockFold, BlockSeries, Source, block_series
+from repro.core.fold import row_bits, run_folds
 from repro.errors import DatasetError
 from repro.net.ipv4 import block_of
 from repro.obs import context as obs
@@ -174,13 +177,15 @@ class MonthlyStu:
     dropped_days: int
 
 
-def monthly_stu(dataset: ActivityDataset, month_days: int = 28) -> MonthlyStu:
-    """Per-block STU for each month-sized chunk of a daily dataset.
+def monthly_stu(source: Source | BlockSeries, month_days: int = 28) -> MonthlyStu:
+    """Per-block STU for each month-sized chunk of a daily dataset or store.
 
     Returns a :class:`MonthlyStu` with one row per active block and
-    one column per month.  Blocks are the union of blocks active in any month; months
-    without activity contribute STU 0.  This is the input to the
-    change detection of Sec. 5.2 (Fig. 8a).
+    one column per month: each row sums the active channel of the
+    /24's :class:`~repro.core.fold.BlockSeries` over the month, over
+    ``256 × month_days``.  Blocks are the union of blocks active in any
+    day; months without activity contribute STU 0.  This is the input
+    to the change detection of Sec. 5.2 (Fig. 8a).
 
     Truncation rule: months are non-overlapping ``month_days``-day
     chunks from the start of the dataset; the trailing
@@ -188,26 +193,19 @@ def monthly_stu(dataset: ActivityDataset, month_days: int = 28) -> MonthlyStu:
     excluded.  The excluded count is reported as
     ``result.dropped_days`` rather than dropped silently.
     """
-    if dataset.window_days != 1:
+    if source.window_days != 1:
         raise DatasetError("monthly STU expects a daily dataset")
-    num_months = len(dataset) // month_days
+    num_months = len(source) // month_days
     if num_months < 1:
         raise DatasetError(
-            f"dataset of {len(dataset)} days has no full {month_days}-day month"
+            f"dataset of {len(source)} days has no full {month_days}-day month"
         )
     with obs.span("analyze/monthly_stu"):
-        index = dataset.index
-        all_bases = index.block_bases
-        stu_matrix = np.zeros((all_bases.size, num_months))
-        for month in range(num_months):
-            for day in range(month * month_days, (month + 1) * month_days):
-                idx = index.snapshot_block_index(day)
-                if idx.size == 0:
-                    continue
-                stu_matrix[:, month] += np.bincount(idx, minlength=all_bases.size)
-        stu_matrix /= BLOCK_SIZE * month_days
+        series = block_series(source)
+        days = num_months * month_days
+        active = series.active[:, :days].reshape(series.bases.size, num_months, month_days)
         return MonthlyStu(
-            bases=all_bases,
-            stu_matrix=stu_matrix,
-            dropped_days=len(dataset) - num_months * month_days,
+            bases=series.bases,
+            stu_matrix=active.sum(axis=2) / (BLOCK_SIZE * month_days),
+            dropped_days=len(source) - days,
         )

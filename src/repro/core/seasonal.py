@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.churn import transition_churn
 from repro.core.dataset import ActivityDataset
+from repro.core.fold import Source
 from repro.errors import DatasetError
 
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -34,12 +35,14 @@ class WeekdayProfile:
     @property
     def weekend_dip(self) -> float:
         """Weekend mean over weekday mean (< 1 when weekends are quieter)."""
-        weekday = self.mean_active[:5]
-        weekend = self.mean_active[5:]
-        weekday_mean = float(weekday[self.samples[:5] > 0].mean())
-        weekend_mean = float(weekend[self.samples[5:] > 0].mean())
+        observed = self.samples > 0
+        for name, days in (("weekday (Mon-Fri)", slice(0, 5)), ("weekend (Sat-Sun)", slice(5, 7))):
+            if not observed[days].any():
+                raise DatasetError(f"no {name} observations: the weekend dip needs both")
+        weekday_mean = float(self.mean_active[:5][observed[:5]].mean())
+        weekend_mean = float(self.mean_active[5:][observed[5:]].mean())
         if weekday_mean == 0:
-            raise DatasetError("no weekday observations")
+            raise DatasetError("no weekday activity: the weekend dip is undefined")
         return weekend_mean / weekday_mean
 
     def quietest_day(self) -> str:
@@ -47,18 +50,15 @@ class WeekdayProfile:
         return WEEKDAY_NAMES[int(np.argmin(observed))]
 
 
-def weekday_profile(dataset: ActivityDataset) -> WeekdayProfile:
-    """Per-weekday mean active counts of a daily dataset."""
-    if dataset.window_days != 1:
+def weekday_profile(source: Source) -> WeekdayProfile:
+    """Per-weekday mean active counts of a daily dataset or store (its headers only)."""
+    if source.window_days != 1:
         raise DatasetError("weekday profile expects a daily dataset")
-    totals = np.zeros(7)
-    samples = np.zeros(7, dtype=np.int64)
-    for snapshot in dataset:
-        day = snapshot.start.weekday()
-        totals[day] += snapshot.num_active
-        samples[day] += 1
-    with np.errstate(invalid="ignore"):
-        mean = np.where(samples > 0, totals / np.maximum(samples, 1), 0.0)
+    counts = source.active_counts()
+    days = (source.start.weekday() + np.arange(counts.size)) % 7
+    totals = np.bincount(days, weights=counts, minlength=7)
+    samples = np.bincount(days, minlength=7).astype(np.int64)
+    mean = np.where(samples > 0, totals / np.maximum(samples, 1), 0.0)
     return WeekdayProfile(mean_active=mean, samples=samples)
 
 

@@ -72,7 +72,7 @@ import json
 import math
 import os
 import zipfile
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import IO, Any
 
@@ -114,6 +114,34 @@ _ZIP_LOCAL_MAGIC = b"PK\x03\x04"
 
 #: A ``.npy`` member's located layout: shape, dtype, data offset (-1 = not raw).
 _MemberLayout = tuple[tuple[int, ...], np.dtype[Any], int]
+
+
+def bases_of_columns(columns: Iterable[NDArray[Any]]) -> NDArray[np.uint32]:
+    """Sorted /24 bases with an address in any of the sorted *columns*."""
+    parts = [np.unique(ips & np.uint32(0xFFFFFF00)) for ips in columns if ips.size]
+    if not parts:
+        return np.empty(0, dtype=np.uint32)
+    return np.unique(np.concatenate(parts))  # O(active /24s)
+
+
+def block_chunks(
+    bases: NDArray[Any], shard_blocks: int
+) -> Iterator[tuple[int, NDArray[Any], int, int]]:
+    """Sorted /24 *bases* cut into chunks of *shard_blocks*: ``(offset, chunk, lo, hi)``.
+
+    ``[lo, hi]`` is the chunk's address range; *hi* is inclusive, as the
+    exclusive bound of the top /24 overflows ``uint32``.
+    """
+    for offset in range(0, int(bases.size), shard_blocks):
+        chunk = bases[offset : offset + shard_blocks]
+        yield offset, chunk, int(chunk[0]), int(chunk[-1]) + _BLOCK_SPAN - 1
+
+
+def address_slice(column: NDArray[Any], lo: int, hi: int) -> slice:
+    """The part of the sorted *column* in ``[lo, hi]`` (*hi* inclusive)."""
+    return slice(
+        int(np.searchsorted(column, lo)), int(np.searchsorted(column, hi, side="right"))
+    )
 
 
 def shard_file_name(block_start: int, block_stop: int) -> str:
@@ -588,11 +616,10 @@ def _slice_segments(
             ips, hits = segment.columns(index, mmap=mmap)
         finally:
             segment.close()
-        left = int(np.searchsorted(ips, lo))
-        right = int(np.searchsorted(ips, hi, side="right"))
-        if right > left:
-            ips_parts.append(ips[left:right])
-            hits_parts.append(hits[left:right])
+        part = address_slice(ips, lo, hi)
+        if part.stop > part.start:
+            ips_parts.append(ips[part])
+            hits_parts.append(hits[part])
     if not ips_parts:
         return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64)
     return (
@@ -729,15 +756,11 @@ class DatasetStore:
         if self.is_batch_layout:
             return self.segments
         if self._views is None:
-            bases = self.active_block_bases()
             self._views = [
-                StoreView(
-                    self,
-                    int(bases[offset]),
-                    int(bases[min(offset + self.shard_blocks, bases.size) - 1])
-                    + _BLOCK_SPAN,
+                StoreView(self, lo, hi + 1)
+                for _offset, _chunk, lo, hi in block_chunks(
+                    self.active_block_bases(), self.shard_blocks
                 )
-                for offset in range(0, int(bases.size), self.shard_blocks)
             ]
         return self._views
 
@@ -778,24 +801,18 @@ class DatasetStore:
         """
         bases: NDArray[np.int64] = np.empty(0, dtype=np.int64)
         for run in self._runs:
-            parts: list[NDArray[np.int64]] = []
+            parts: list[NDArray[np.uint32]] = []
             for segment in run.segments:
                 try:
-                    masked = [
-                        (
-                            segment.columns(index)[0] & np.uint32(0xFFFFFF00)
-                        ).astype(np.int64)
-                        for index in range(run.start, run.stop)
-                    ]
-                    nonempty = [blocks for blocks in masked if blocks.size]
-                    if nonempty:
-                        parts.append(
-                            np.unique(np.concatenate(nonempty))  # bounded: one shard
+                    parts.append(
+                        bases_of_columns(
+                            segment.columns(index)[0] for index in range(run.start, run.stop)
                         )
+                    )
                 finally:
                     segment.close()
-            if parts:
-                run_bases = np.concatenate(parts)  # O(active /24s)
+            run_bases = np.concatenate(parts).astype(np.int64)  # O(active /24s)
+            if run_bases.size:
                 bases = np.union1d(bases, run_bases) if bases.size else run_bases
         return bases
 
@@ -1537,25 +1554,18 @@ class StoreAppender:
         segment_header = StoreHeader(
             self._start, self._window_days, generation
         ).segment(index, generation)
-        new_bases = np.unique(ips_col & np.uint32(0xFFFFFF00)).astype(np.int64)
+        new_bases = bases_of_columns([ips_col])
         segments: list[StoreShard] = (
             [] if self._store is None else list(self._store.segments)
         )
-        for offset in range(0, int(new_bases.size), self._shard_blocks):
-            chunk = new_bases[offset : offset + self._shard_blocks]
-            left = int(np.searchsorted(ips_col, int(chunk[0])))
-            # Inclusive top address: the exclusive bound overflows uint32.
-            right = int(
-                np.searchsorted(
-                    ips_col, int(chunk[-1]) + _BLOCK_SPAN - 1, side="right"
-                )
-            )
+        for offset, chunk, lo, hi in block_chunks(new_bases, self._shard_blocks):
+            part = address_slice(ips_col, lo, hi)
             segments.append(
                 _write_segment(
                     gen_dir,
                     segment_header,
                     chunk,
-                    [(ips_col[left:right], hits_col[left:right])],
+                    [(ips_col[part], hits_col[part])],
                     block_start=offset,
                     min_base=0,
                     snapshot_start=index,

@@ -58,7 +58,13 @@ import numpy as np
 
 from repro.core.dataset import Snapshot
 from repro.core.index import kway_union_columns
-from repro.core.store import DatasetStore, StoreWriter
+from repro.core.store import (
+    DatasetStore,
+    StoreWriter,
+    address_slice,
+    bases_of_columns,
+    block_chunks,
+)
 from repro.errors import CollectionError, ConfigError, InjectedWorkerFault
 from repro.obs import context as obs_api
 from repro.obs.context import ObsContext
@@ -359,16 +365,7 @@ def _merge_results_to_store(
     ``searchsorted`` slices whose per-chunk union equals the matching
     slice of the full ``kway_union``.
     """
-    base_parts = [
-        np.unique(ips & np.uint32(0xFFFFFF00))
-        for result in results
-        for ips in result.window_ips
-        if ips.size
-    ]
-    if base_parts:
-        bases = np.unique(np.concatenate(base_parts))
-    else:
-        bases = np.empty(0, dtype=np.uint32)
+    bases = bases_of_columns(ips for result in results for ips in result.window_ips)
     writer = StoreWriter(
         store_dir,
         start=start_date,
@@ -376,23 +373,17 @@ def _merge_results_to_store(
         num_snapshots=num_windows,
         shard_blocks=shard_blocks,
     )
-    for chunk_start in range(0, int(bases.size), shard_blocks):
-        chunk = bases[chunk_start : chunk_start + shard_blocks]
-        lo = int(chunk[0])
-        # Inclusive last address of the chunk's top /24 — the exclusive
-        # bound would overflow uint32 on the final block.
-        hi = int(chunk[-1]) + 255
+    for _offset, chunk, lo, hi in block_chunks(bases, shard_blocks):
         columns: list[tuple[np.ndarray, np.ndarray]] = []
         for window in range(num_windows):
             ips_parts: list[np.ndarray] = []
             hits_parts: list[np.ndarray] = []
             for result in results:
                 column = result.window_ips[window]
-                left = int(np.searchsorted(column, lo))
-                right = int(np.searchsorted(column, hi, side="right"))
-                if right > left:
-                    ips_parts.append(column[left:right])
-                    hits_parts.append(result.window_hits[window][left:right])
+                part = address_slice(column, lo, hi)
+                if part.stop > part.start:
+                    ips_parts.append(column[part])
+                    hits_parts.append(result.window_hits[window][part])
             columns.append(kway_union_columns(ips_parts, hits_parts))
         writer.add_shard(chunk, columns)
     return writer.finalize()

@@ -24,10 +24,11 @@ from repro.core import churn, metrics
 from repro.core.analyze import analyze
 from repro.core.churn import IncrementalChurn
 from repro.core.dataset import ActivityDataset, Snapshot
-from repro.core.fold import BlockColumn
+from repro.core.fold import BlockColumn, BlockSeries
 from repro.core.io import save_store
 from repro.core.metrics import IncrementalBlockMetrics
 from repro.errors import DatasetError
+from tests.core.reference_analyses import block_series as reference_series
 from tests.core.reference_analyses import (
     churn_by_window_size,
     compute_block_metrics,
@@ -257,6 +258,21 @@ class TestFoldEdges:
                 assert merged.transitions() == whole.transitions()
             elif any(ips.size for ips in columns):
                 assert_metrics_equal(merged.result(), whole.result())
+
+    def test_series_grows_rows_mid_run_and_reads_hits(self):
+        # C, then A before it; every channel equals the reference loop's.
+        columns = [column(BLOCK_C + 1), column(BLOCK_A + 1, BLOCK_C + 1, BLOCK_C + 2)]
+        dataset = dataset_from(columns)
+        series = BlockSeries(DAY0, 1, len(columns))
+        for snapshot in dataset:
+            series.update(BlockColumn(snapshot.ips, snapshot.hits * np.uint64(3)))
+        expected = reference_series(dataset)
+        assert np.array_equal(series.bases, expected.bases)
+        assert np.array_equal(series.active, expected.active)
+        assert np.array_equal(series.hits, 3 * expected.hits)
+        assert np.array_equal(series.churn, expected.churn)
+        with pytest.raises(DatasetError, match="without its hits"):
+            BlockSeries(DAY0, 1, 1).update(column(BLOCK_A + 1))
 
     def test_merge_rejects_overlap_and_mismatched_snapshots(self):
         one = fed(IncrementalChurn(), [column(BLOCK_A + 1), column(BLOCK_A + 2)])

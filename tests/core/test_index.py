@@ -53,8 +53,7 @@ class TestDatasetIndexLayers:
     def test_cached_arrays_are_read_only(self):
         ds = make_dataset()
         for array in (ds.index.all_ips, ds.index.windows_active,
-                      ds.index.total_hits, ds.index.block_bases,
-                      ds.index.ip_block_index, ds.index.snapshot_positions(0)):
+                      ds.index.total_hits, ds.index.snapshot_positions(0)):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -75,21 +74,6 @@ class TestDatasetIndexLayers:
         assert windows.tolist() == expected_windows
         assert hits.tolist() == expected_hits
         assert hits.dtype == np.uint64
-
-    def test_block_layer_matches_naive(self):
-        ds = make_dataset()
-        union = naive_union(ds)
-        expected_bases = np.unique(union & np.uint32(0xFFFFFF00))
-        assert np.array_equal(ds.index.block_bases, expected_bases)
-        assert np.array_equal(
-            ds.index.block_bases[ds.index.ip_block_index],
-            union & np.uint32(0xFFFFFF00),
-        )
-        for position, snapshot in enumerate(ds):
-            expected = np.searchsorted(
-                expected_bases, snapshot.ips & np.uint32(0xFFFFFF00)
-            )
-            assert np.array_equal(ds.index.snapshot_block_index(position), expected)
 
     def test_positions_of_subset(self):
         ds = make_dataset()

@@ -1,6 +1,7 @@
 """Tests for repro.core.seasonal and the grouped Fig. 2b classification."""
 
 import datetime
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from repro.routing.table import RoutingTable
 MONDAY = datetime.date(2015, 8, 17)  # the paper's day 0 is a Monday
 
 
-def make_dataset(counts_by_day):
-    """counts_by_day: list of active-count ints starting on a Monday."""
+def make_dataset(counts_by_day, first_day=0):
+    """counts_by_day: list of active-count ints starting *first_day* days
+    after a Monday."""
     snapshots = []
-    for index, count in enumerate(counts_by_day):
+    for index, count in enumerate(counts_by_day, start=first_day):
         ips = np.arange(count, dtype=np.uint32)
         snapshots.append(
             Snapshot(MONDAY + datetime.timedelta(days=index), 1, ips)
@@ -44,6 +46,24 @@ class TestWeekdayProfile:
     def test_partial_week(self):
         profile = weekday_profile(make_dataset([50, 60, 70]))
         assert profile.samples.tolist() == [1, 1, 1, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "counts, first_day, missing",
+        [([50, 60, 70], 0, "weekend"), ([40, 30], 5, "weekday")],
+    )
+    def test_weekend_dip_names_a_missing_class(self, counts, first_day, missing):
+        # Mon-Wed only, or Sat-Sun only: the dip was NaN, with numpy's
+        # "Mean of empty slice" warning, instead of an error.
+        profile = weekday_profile(make_dataset(counts, first_day))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match=f"no {missing} "):
+                profile.weekend_dip
+
+    def test_weekend_dip_rejects_silent_weekdays(self):
+        profile = weekday_profile(make_dataset([0] * 5 + [40, 30]))
+        with pytest.raises(DatasetError, match="no weekday activity"):
+            profile.weekend_dip
 
     def test_rejects_weekly_dataset(self):
         ds = make_dataset([10] * 14).aggregate(7)

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import churn, metrics
+from repro.core import change, churn, detect, metrics, seasonal
 from repro.core.analyze import analyze
 from repro.core.dataset import ActivityDataset, Snapshot
+from repro.core.fold import block_series
 from repro.core.index import iter_union_runs, kway_union
 from repro.core.io import (
     export_store,
@@ -472,6 +473,39 @@ def daily_datasets(draw):
     return ActivityDataset(snapshots)
 
 
+def assert_series_analyses_match(dataset, stores):
+    """Monthly STU, change and event detection and the weekday profile
+    agree on *dataset* and each of *stores* (the same data), and match
+    the reference bodies — whether each runs its own pass or reads the
+    per-/24 series of one shared pass."""
+    expected_series = reference.block_series(dataset)
+    expected_events = reference.detect_events(dataset)
+    expected_change = reference.detect_change(dataset, month_days=1)
+    expected_profile = reference.weekday_profile(dataset)
+    for source in (dataset, *stores):
+        shared = analyze(source, churn=False, series=True).series()
+        for series in (block_series(source), shared):
+            assert np.array_equal(series.bases, expected_series.bases)
+            for channel in ("active", "hits", "churn"):
+                assert np.array_equal(
+                    getattr(series, channel), getattr(expected_series, channel)
+                )
+        for run in (source, shared):
+            for month_days in (1, 2):
+                expected = reference.monthly_stu(dataset, month_days)
+                got = metrics.monthly_stu(run, month_days)
+                assert np.array_equal(got.bases, expected.bases)
+                assert np.array_equal(got.stu_matrix, expected.stu_matrix)
+                assert got.dropped_days == expected.dropped_days
+            detection = change.detect_change(run, month_days=1)
+            assert np.array_equal(detection.bases, expected_change.bases)
+            assert np.array_equal(detection.max_change, expected_change.max_change)
+            assert detect.detect_events(run) == expected_events
+        profile = seasonal.weekday_profile(source)
+        assert np.array_equal(profile.mean_active, expected_profile.mean_active)
+        assert np.array_equal(profile.samples, expected_profile.samples)
+
+
 class TestStreamedEquivalenceProperties:
     @settings(max_examples=30, deadline=None)
     @given(daily_datasets(), st.integers(min_value=1, max_value=3))
@@ -503,6 +537,7 @@ class TestStreamedEquivalenceProperties:
             for folded in passes:
                 assert list(folded.churn().transitions) == transitions
                 assert folded.sweep() == expected_sweep
+            assert_series_analyses_match(dataset, [store])
             store.close()
 
 

@@ -42,7 +42,12 @@ from repro.core.store import (
 from repro.errors import DatasetError
 from repro.obs.manifest import dataset_digest
 from tests.core import reference_analyses as reference
-from tests.core.test_store import daily_datasets, make_dataset, snap
+from tests.core.test_store import (
+    assert_series_analyses_match,
+    daily_datasets,
+    make_dataset,
+    snap,
+)
 
 DAY0 = datetime.date(2015, 8, 17)
 
@@ -157,7 +162,9 @@ class TestSegmentedReadersEqualBatch:
             for store in (live, reopened):
                 assert_readers_equal(store, batch, dataset)
                 assert_analyses_equal(store, batch, dataset)
-                store.close()
+            assert_series_analyses_match(dataset, [batch, live, reopened])
+            live.close()
+            reopened.close()
             batch.close()
 
     def test_empty_interval_writes_no_segment(self, tmp_path):

@@ -3,8 +3,9 @@
 
 Synthesizes a store too large to analyze comfortably in RAM, then runs
 the single-pass streamed analyses (filling degree / STU, daily churn
-and the full Fig. 4b window-size sweep) in a child process whose heap
-is capped with ``RLIMIT_DATA`` at the documented memory ceiling.  The streamed path must complete under the
+and the full Fig. 4b window-size sweep), change detection (Fig. 8a)
+and event detection in a child process whose heap is capped with
+``RLIMIT_DATA`` at the documented memory ceiling.  The streamed path must complete under the
 cap; the in-memory reference path is run in a second (uncapped) child
 and its peak RSS recorded, demonstrating that the same analyses would
 blow the ceiling without the store.
@@ -93,15 +94,22 @@ def synthesize_store(
 
 
 def _analyze(source) -> str:
-    """FD/STU, daily churn and the full Fig. 4b sweep in one pass."""
+    """FD/STU, daily churn and the full Fig. 4b sweep in one pass, then
+    change and event detection (one per-/24 series pass each)."""
     from repro.core.analyze import analyze
+    from repro.core.change import detect_change
+    from repro.core.detect import detect_events
     from repro.core.windows import PAPER_WINDOW_SIZES
 
     folded = analyze(source, sweep=PAPER_WINDOW_SIZES)
+    # The paper's 28-day months, or two months of a shorter store.
+    detection = detect_change(source, month_days=min(28, len(source) // 2))
+    events = detect_events(source)
     return (
         f"{folded.block_metrics().num_blocks} blocks, "
         f"{len(folded.churn().transitions)} transitions, "
-        f"{len(folded.sweep())} window sizes"
+        f"{len(folded.sweep())} window sizes, "
+        f"{detection.major_fraction:.1%} major change, {len(events)} events"
     )
 
 
